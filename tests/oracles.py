@@ -56,3 +56,32 @@ def marcum_quadrature(a, b):
     val, _ = integrate.quad(integrand, b, np.inf,
                             epsabs=1e-13, epsrel=1e-12, limit=300)
     return val
+
+
+def marcum_q1_mpmath(a, b, digits=40):
+    """Q1(a, b) = P(Y <= X) for independent X ~ Poisson(a^2/2) and
+    Y ~ Poisson(b^2/2), summed in ``digits``-digit arithmetic.
+
+    Every term is nonnegative, so tiny tails keep their relative
+    precision; the Poisson tail of X left after stopping is bounded
+    geometrically by ``10**(5 - digits)`` times the sum.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        lam = mpmath.mpf(a) ** 2 / 2
+        y = mpmath.mpf(b) ** 2 / 2
+        eps = mpmath.mpf(10) ** (5 - digits)
+        px = mpmath.exp(-lam)       # P(X = j)
+        py = mpmath.exp(-y)         # P(Y = j)
+        cdf_y = py                  # P(Y <= j)
+        total = px * cdf_y
+        j = 0
+        while True:
+            j += 1
+            px *= lam / j
+            py *= y / j
+            cdf_y += py
+            total += px * cdf_y
+            if j > lam and px * (j + 1) / (j + 1 - lam) <= eps * total:
+                return total

@@ -23,7 +23,13 @@ from fluidcell import (
     integrate_finite_with_error,
     marcum_q1,
 )
-from oracles import erf_quadrature, i0_series, j0_series, marcum_quadrature
+from oracles import (
+    erf_quadrature,
+    i0_series,
+    j0_series,
+    marcum_q1_mpmath,
+    marcum_quadrature,
+)
 
 
 class TestBesselOracles:
@@ -140,6 +146,70 @@ class TestMarcumQ1:
             marcum_q1(-0.1, 1.0)
         with pytest.raises(ValueError):
             marcum_q1(1.0, -0.1)
+
+
+@pytest.fixture(scope="module")
+def marcum_grid():
+    """Q1 and its oracle on alpha, beta in [0, 40], plus pairs far off
+    the ridge where the value saturates in double precision."""
+    pytest.importorskip("mpmath")
+    grid = np.linspace(0.0, 40.0, 17)
+    alpha, beta = (x.ravel() for x in np.meshgrid(grid, grid))
+    base = np.repeat([0.0, 0.5, 1.0], 4)
+    shifted = base + np.tile([38.0, 38.5, 39.0, 40.0], 3)
+    alpha = np.concatenate([alpha, base, shifted])
+    beta = np.concatenate([beta, shifted, base])
+    exact = [marcum_q1_mpmath(a, b) for a, b in zip(alpha, beta)]
+    ref = np.array([float(q) for q in exact])
+    complement = np.array([float(1 - q) for q in exact])
+    return alpha, beta, ref, complement
+
+
+class TestMarcumQ1PrecisionContract:
+    """The precision stated in the ``marcum_q1`` docstring."""
+
+    def test_absolute_error(self, marcum_grid):
+        alpha, beta, ref, _ = marcum_grid
+        err = np.abs(marcum_q1(alpha, beta) - ref)
+        assert err.max() <= 1e-14
+
+    def test_relative_error_down_to_1e_20(self, marcum_grid):
+        alpha, beta, ref, _ = marcum_grid
+        q = marcum_q1(alpha, beta)
+        kept = ref >= 1e-20
+        assert kept.sum() > 200
+        assert np.all(np.abs(q[kept] - ref[kept]) <= 2e-13 * ref[kept])
+
+    def test_saturates_to_exact_zero_and_one(self, marcum_grid):
+        alpha, beta, ref, complement = marcum_grid
+        q = marcum_q1(alpha, beta)
+        zero = ref == 0.0
+        one = complement < 2.0**-55  # rounds to 1 with room to spare
+        assert zero.sum() >= 5 and one.sum() >= 50
+        assert np.all(q[zero] == 0.0)
+        assert np.all(q[one] == 1.0)
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 7.0, 15.0, 30.0, 40.0])
+    def test_continuous_across_the_ridge(self, a):
+        pytest.importorskip("mpmath")
+        # one ulp either side switches formula; the step must stay
+        # within the absolute error
+        steps = np.array([np.nextafter(a, 0.0), a, np.nextafter(a, np.inf)])
+        q = marcum_q1(a, steps)
+        assert np.abs(np.diff(q)).max() <= 1e-14
+        for b in (a * (1.0 - 1e-6), a, a * (1.0 + 1e-6)):
+            expected = float(marcum_q1_mpmath(a, b))
+            assert abs(marcum_q1(a, b) - expected) <= 1e-14
+
+    def test_huge_arguments_give_a_probability_or_raise(self):
+        # scipy.special gives up far out on the ridge; that must surface
+        # as ConvergenceError, never as nan
+        for a, b in ((1e5, 1e5 + 3.0), (1e6, 1e6 - 3.0), (1e200, 1e200)):
+            try:
+                q = marcum_q1(a, b)
+            except ConvergenceError:
+                continue
+            assert 0.0 <= q <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,20 @@ class TestOutageProbability:
                 desk_cfg, stock_net, desk_budget, target, mode="exact"
             )
 
+    @pytest.mark.parametrize("dbm, expected", [
+        (28, 0.830345698394),
+        (40, 0.479437508978),
+    ])
+    def test_pinned_stock_common_gamma(
+        self, dbm, expected, stock_cfg, stock_budget, stock_target
+    ):
+        # fig3 powers at the stock array under the default spec, as the
+        # Bessel-series Marcum Q gave them: a faster special-function
+        # kernel must not move an estimate
+        net = NetworkConfig(tx_power=10.0 ** ((dbm - 30.0) / 10.0))
+        got = outage_probability(stock_cfg, net, stock_budget, stock_target)
+        assert abs(got - expected) <= 1e-9
+
 
 class TestAveragedOutageBounds:
     def test_ordered_and_squaring(self, desk_cfg, stock_net, desk_budget):
