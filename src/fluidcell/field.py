@@ -132,9 +132,9 @@ def mean_interference(exclusion_radius, net):
     """Expected aggregate interference power past the exclusion radius.
 
     Campbell average of gain * distance^(-a) over the annular field,
-    per unit transmit power.
+    per unit transmit power; accepts numpy arrays, elementwise.
     """
-    if exclusion_radius <= 0.0:
+    if np.any(np.asarray(exclusion_radius) <= 0.0):
         raise ValueError("exclusion_radius must be positive")
     a = net.path_loss_exponent
     return (

@@ -214,6 +214,18 @@ class TestMeanInterference:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             mean_interference(0.0, NetworkConfig())
+        with pytest.raises(ValueError):
+            mean_interference(np.array([50.0, -1.0]), NetworkConfig())
+
+    def test_elementwise_over_arrays(self):
+        # numpy's vectorised power may differ from the scalar one in the
+        # last bit, hence a few ulp of float64
+        net = NetworkConfig(path_loss_exponent=3.5)
+        r = np.array([[20.0, 80.0], [150.0, 1e4]])
+        grid = mean_interference(r, net)
+        assert grid.shape == r.shape
+        scalars = [mean_interference(float(x), net) for x in r.ravel()]
+        np.testing.assert_allclose(grid.ravel(), scalars, rtol=1e-15)
 
 
 class TestGammaModel:

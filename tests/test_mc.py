@@ -1,6 +1,7 @@
 """Tests for the trial simulator and its deterministic chunked streams."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,26 @@ class TestEstimateOutage:
                 plan, desk_cfg, stock_net, desk_budget, target
             )
             assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("exponent", [3.0, 2.5])
+    def test_low_path_loss_exponent_runs_in_bounded_memory(
+        self, stock_cfg, stock_budget, stock_target, exponent
+    ):
+        # truncating the field at TAIL_FRACTION of the mean would need
+        # ~2e11 points per chunk at a = 3; the exact near field does not
+        # grow with the exponent
+        net = NetworkConfig(path_loss_exponent=exponent)
+        plan = TrialPlan(num_trials=2048, seed=3, chunk_size=2048)
+        tracemalloc.start()
+        try:
+            p, _ = estimate_outage(
+                plan, stock_cfg, net, stock_budget, stock_target, workers=1
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert 0.0 <= p <= 1.0
 
 
 # =====================================================================
