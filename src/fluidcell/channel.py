@@ -19,6 +19,7 @@ from .geometry import (
     InfeasibleFrameError,
     fluid_velocity,
     link_distance,
+    link_distances,
     trained_port_indices,
 )
 from .numerics import (
@@ -63,7 +64,9 @@ class CorrelationProfile:
     ``mu`` holds the correlation of each trained port with the first
     one (signed; the first entry is zero by convention) and
     ``spread_variance`` the per-port variance of the estimate around
-    that common component, both aligned with ``ports``.
+    that common component, both aligned with ``ports``. A batch of
+    serving distances carries one row of spread variances per distance,
+    shape (B, len(ports)); ``mu`` does not depend on distance.
     """
 
     ports: tuple
@@ -74,7 +77,8 @@ class CorrelationProfile:
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
         spread = np.asarray(self.spread_variance, dtype=float)
-        if len(self.ports) != mu.shape[0] or mu.shape != spread.shape:
+        if (len(self.ports) != mu.shape[0] or mu.ndim != 1
+                or spread.ndim > 2 or spread.shape[-1:] != mu.shape):
             raise ValueError("profile arrays must align with the port tuple")
         if mu.shape[0] < 1:
             raise ValueError("profile needs at least one port")
@@ -183,11 +187,12 @@ def correlation_profile(cfg, net, budget, rho):
 
     Each trained port's spread variance combines the decorrelated share
     of the true channel with that port's own estimation error variance,
-    evaluated at its own link distance.
+    evaluated at its own link distance. A 1-D array of distances gives
+    the batched profile, one row of spread variances per distance.
     """
     ports = trained_port_indices(cfg)
     mu = np.array([autocorrelation(p, cfg) for p in ports])
-    r = np.array([link_distance(p, rho, cfg) for p in ports])
+    r = link_distances(ports, rho, cfg)
     err = error_variance_at(r, budget.pilot_length, net)
     sigma_sq = net.channel_variance
     spread = sigma_sq * (1.0 - mu**2) + err
@@ -203,6 +208,37 @@ def correlation_profile(cfg, net, budget, rho):
 # Joint law of the estimated magnitudes
 # ---------------------------------------------------------------------------
 
+# (row, port) pairs per lockstep group of a batched joint_magnitude_cdf.
+# A refinement round evaluates at most 40 nodes per row, so a group's
+# Marcum Q call stays below ~330k elements (tens of MB of temporaries)
+# however many rows and ports a batch has.
+_GROUP_PAIRS = 2**13
+
+
+def _conditional_rician_integrals(mu, taus, spread, limits, spec):
+    """Integral over the first port of the other ports' Rician cdfs.
+
+    One lockstep batch over the threshold rows, one ``marcum_q1`` call
+    per refinement round.
+    """
+    ratio = spread[:, :1] / spread[:, 1:]
+    # port-major (J - 1, B) layouts, gathered by row at each round
+    coeff = np.ascontiguousarray((2.0 * mu[1:] ** 2 * ratio).T)
+    betas = np.ascontiguousarray(
+        (np.sqrt(2.0 / spread[:, 1:]) * taus[:, 1:]).T
+    )
+
+    def integrand(t, rows):
+        alphas = np.sqrt(coeff[:, rows] * t)
+        q = marcum_q1(alphas, betas[:, rows])
+        return np.exp(-t) * np.prod(1.0 - q, axis=0)
+
+    return integrate_finite(
+        integrand, np.zeros(len(limits)),
+        np.minimum(limits, spec.truncation_radius), spec,
+    )
+
+
 def joint_magnitude_cdf(taus, profile, spec=None):
     """P(every trained port's estimated magnitude is below its threshold).
 
@@ -210,34 +246,47 @@ def joint_magnitude_cdf(taus, profile, spec=None):
     independent Rician variables, leaving a single integral with an
     exp(-t) envelope. Exact (no quadrature) when only one port is
     trained.
+
+    A (B, J) batch of threshold rows against a profile whose
+    ``spread_variance`` is (B, J) gives B probabilities, row k equal to
+    the single call on row k bit for bit. Their integrals run in
+    lockstep, one ``marcum_q1`` call per refinement round; batches of
+    more than 2**13 (row, port) pairs run as several such groups, so
+    memory stays bounded.
     """
     if spec is None:
         spec = QuadratureSpec()
     taus = np.asarray(taus, dtype=float)
     mu = profile.mu
     spread = profile.spread_variance
-    if taus.shape != mu.shape:
+    if taus.shape != spread.shape:
         raise ValueError("one threshold per trained port is required")
     if np.any(taus < 0.0):
         raise ValueError("thresholds must be nonnegative")
-    if np.any(taus == 0.0):
-        return 0.0
-
-    limit = taus[0] ** 2 / spread[0]
+    rows_tau = taus.reshape(-1, mu.shape[0])
+    rows_spread = spread.reshape(rows_tau.shape)
+    zero = np.any(rows_tau == 0.0, axis=1).tolist()
+    # scalar arithmetic per row, as a lone threshold vector gets it:
+    # libm's pow and expm1 round differently from numpy's array kernels
+    limits = [
+        0.0 if z else t ** 2 / s
+        for z, t, s in zip(zero, rows_tau[:, 0].tolist(),
+                           rows_spread[:, 0].tolist())
+    ]
     if len(profile.ports) == 1:
-        return -math.expm1(-limit)
-    limit = min(limit, spec.truncation_radius)
-
-    ratio = spread[0] / spread[1:]
-    mu_sq = mu[1:] ** 2
-    betas = np.sqrt(2.0 / spread[1:]) * taus[1:]
-
-    def integrand(t):
-        alphas = np.sqrt(2.0 * mu_sq[:, None] * ratio[:, None] * t[None, :])
-        q = marcum_q1(alphas, betas[:, None])
-        return np.exp(-t) * np.prod(1.0 - q, axis=0)
-
-    return integrate_finite(integrand, 0.0, limit, spec)
+        values = np.array([-math.expm1(-x) for x in limits])
+    else:
+        size = max(1, _GROUP_PAIRS // (len(profile.ports) - 1))
+        values = np.concatenate([
+            _conditional_rician_integrals(
+                mu, rows_tau[k:k + size], rows_spread[k:k + size],
+                limits[k:k + size], spec,
+            )
+            for k in range(0, max(len(limits), 1), size)
+        ])
+    if taus.ndim == 1:
+        return float(values[0])
+    return values
 
 
 def joint_magnitude_pdf(taus, profile):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "FaArrayConfig",
     "FluidParams",
@@ -18,6 +20,7 @@ __all__ = [
     "InfeasibleFrameError",
     "port_displacement",
     "link_distance",
+    "link_distances",
     "fluid_velocity",
     "switching_delay",
     "trained_port_indices",
@@ -116,6 +119,21 @@ def link_distance(i, rho, cfg):
         raise ValueError("serving distance must be positive")
     d = port_displacement(i, cfg)
     return math.hypot(rho, d)
+
+
+def link_distances(ports, rho, cfg):
+    """Distances (m) to each of ``ports`` at serving distance ``rho``.
+
+    ``rho`` may be an array; the result appends a port axis to its
+    shape. Every entry is :func:`link_distance`'s ``math.hypot``, so a
+    batch agrees with the scalar calls bit for bit.
+    """
+    rho = np.asarray(rho, dtype=float)
+    distinct, inverse = np.unique(rho, return_inverse=True)
+    table = np.array([
+        [link_distance(p, r, cfg) for p in ports] for r in distinct.tolist()
+    ])
+    return table[inverse.reshape(-1)].reshape(rho.shape + (len(ports),))
 
 
 def fluid_velocity(params):

@@ -27,7 +27,7 @@ from .channel import (
     joint_magnitude_cdf,
 )
 from .field import gamma_interference_model
-from .geometry import link_distance, trained_port_indices
+from .geometry import link_distance, link_distances, trained_port_indices
 from .numerics import QuadratureSpec, integrate_finite
 
 __all__ = [
@@ -43,6 +43,9 @@ __all__ = [
 # Serving-distance mass ignored by the truncated outer integral; the
 # integrand is a probability, so this is also the absolute error bound.
 DISTANCE_TAIL = 1e-12
+# Distinct (distance, interference) pairs per conditional-outage call: a
+# round's threshold rows stay bounded at any trained-port count.
+_PAIRS_PER_CALL = 4096
 
 
 @dataclass(frozen=True)
@@ -89,14 +92,19 @@ def outage_thresholds(rho, interference, cfg, net, budget, target):
     A candidate port is in outage exactly when its squared estimated
     magnitude falls below its entry here. ``interference`` is a scalar
     shared by every port or a per-port sequence.
+
+    A 1-D array of serving distances gives one row of thresholds per
+    distance; ``interference`` is then a scalar, one level per distance,
+    or one row of per-port levels per distance.
     """
-    if rho <= 0.0:
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0.0):
         raise ValueError("serving distance must be positive")
-    ports = trained_port_indices(cfg)
-    r = np.array([link_distance(p, rho, cfg) for p in ports])
-    inter = np.broadcast_to(
-        np.asarray(interference, dtype=float), r.shape
-    )
+    r = link_distances(trained_port_indices(cfg), rho, cfg)
+    inter = np.asarray(interference, dtype=float)
+    if rho.ndim and inter.ndim == 1:
+        inter = inter[:, None]  # one level per distance, shared by its ports
+    inter = np.broadcast_to(inter, r.shape)
     if np.any(inter < 0.0):
         raise ValueError("interference must be nonnegative")
     err = error_variance_at(r, budget.pilot_length, net)
@@ -128,7 +136,9 @@ def conditional_outage(rho, interference, cfg, net, budget, target,
 
     ``profile`` may carry a precomputed correlation profile for this
     distance; callers looping over interference values avoid rebuilding
-    it.
+    it. A 1-D array of distances, with interference as in
+    :func:`outage_thresholds`, gives one outage per distance, computed
+    as one batch.
     """
     if profile is None:
         profile = correlation_profile(cfg, net, budget, rho)
@@ -205,33 +215,86 @@ def conditional_outage_bounds(rho, interference, mu_common, cfg, net,
 # Unconditional outage
 # ---------------------------------------------------------------------------
 
-def _gamma_quantile(model, v):
-    """Interference quantile of the Gamma surrogate, robust to tiny shapes."""
+def _gamma_quantile(shape, scale, v):
+    """Interference quantiles of Gamma surrogates, robust to tiny shapes."""
     with np.errstate(all="ignore"):
-        x = _sf.gammaincinv(model.shape, v)
+        x = _sf.gammaincinv(shape, v)
     x = np.where(np.isfinite(x), x, 0.0)
-    return model.scale * x
+    return scale * x
 
 
-def _averaged_over_interference(outage_at, model, spec):
-    """E[outage(gamma)] under the Gamma surrogate via its quantile map.
+def _averaged_over_interference(outage_at, models, keys, spec):
+    """E[outage(gamma)] under each row's Gamma surrogate, as one batch.
 
-    Integrating in probability space handles the near-degenerate shapes
-    (essentially all mass at zero, a vanishing far tail) that defeat a
-    direct gamma-space quadrature.
+    Integrating in probability space through the quantile map handles
+    the near-degenerate shapes (essentially all mass at zero, a
+    vanishing far tail) that defeat a direct gamma-space quadrature.
+    Rows with equal ``keys`` share one conditional outage, so each
+    round calls ``outage_at(rows, gammas)`` on its distinct (key, gamma)
+    pairs only, once per ``_PAIRS_PER_CALL`` of them.
     """
-    cache = {}
+    shape = np.array([m.shape for m in models])
+    scale = np.array([m.scale for m in models])
 
-    def cached(gamma):
-        if gamma not in cache:
-            cache[gamma] = outage_at(gamma)
-        return cache[gamma]
+    def integrand(v, rows):
+        gammas = _gamma_quantile(shape[rows], scale[rows], v)
+        _, first, inverse = np.unique(
+            np.column_stack((keys[rows], gammas)), axis=0,
+            return_index=True, return_inverse=True,
+        )
+        parts = np.split(
+            first, range(_PAIRS_PER_CALL, len(first), _PAIRS_PER_CALL)
+        )
+        values = np.concatenate([
+            outage_at(rows[part], gammas[part]) for part in parts
+        ])
+        return values[inverse.reshape(-1)]
 
-    def integrand(v):
-        gammas = _gamma_quantile(model, v)
-        return np.array([cached(float(g)) for g in gammas])
+    count = len(models)
+    return integrate_finite(integrand, np.zeros(count), np.ones(count), spec)
 
-    return integrate_finite(integrand, 0.0, 1.0, spec)
+
+def _distance_averaged(conditional, tags, anchor, net, spec):
+    """Conditional outage averaged over interference and serving distance.
+
+    One integral per entry of ``tags``, all run as one batch. Row k
+    weighs, at each serving distance rho, the conditional outage
+    averaged over the Gamma surrogate anchored at ``anchor(k, rho)``,
+    by the nearest-transmitter density of rho. ``conditional(tags,
+    rhos, gammas)`` gives the conditional outage elementwise; each
+    round passes it every distinct (tag, rho, gamma) once.
+    """
+    lam = net.bs_density
+    rho_cut = math.sqrt(math.log(1.0 / DISTANCE_TAIL) / (math.pi * lam))
+    tags = np.asarray(tags)
+
+    def integrand(rhos, rows):
+        rho_list = rhos.tolist()
+        models = [
+            gamma_interference_model(anchor(k, rho), net)
+            for k, rho in zip(rows.tolist(), rho_list)
+        ]
+        round_tags = tags[rows]
+        _, keys = np.unique(
+            np.column_stack((round_tags, rhos)), axis=0, return_inverse=True
+        )
+
+        def outage_at(index, gammas):
+            return conditional(round_tags[index], rhos[index], gammas)
+
+        averaged = _averaged_over_interference(
+            outage_at, models, keys.reshape(-1), spec
+        )
+        density = np.array([
+            2.0 * math.pi * lam * rho * math.exp(-math.pi * lam * rho**2)
+            for rho in rho_list
+        ])
+        return averaged * density
+
+    count = len(tags)
+    return integrate_finite(
+        integrand, np.zeros(count), np.full(count, rho_cut), spec
+    )
 
 
 def outage_probability(cfg, net, budget, target, spec=None,
@@ -244,51 +307,34 @@ def outage_probability(cfg, net, budget, target, spec=None,
     ``per-port-gamma`` instead averages one full double integral per
     trained port (each port's Gamma surrogate anchored at its own link
     distance) and multiplies them all, which breaks the coupling of the
-    shared interference draw; it is kept for comparison.
+    shared interference draw; it is kept for comparison. Its per-port
+    integrals run as one batch.
     """
     if spec is None:
         spec = QuadratureSpec()
     if mode not in ("common-gamma", "per-port-gamma"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    lam = net.bs_density
-    rho_cut = math.sqrt(math.log(1.0 / DISTANCE_TAIL) / (math.pi * lam))
-
-    def distance_density(rho):
-        return 2.0 * math.pi * lam * rho * math.exp(-math.pi * lam * rho**2)
-
-    def averaged(anchor_distance_of, rho):
-        profile = correlation_profile(cfg, net, budget, rho)
-        model = gamma_interference_model(anchor_distance_of(rho), net)
-
-        def outage_at(gamma):
-            thetas = outage_thresholds(
-                rho, gamma, cfg, net, budget, target
-            )
-            return joint_outage_given_thresholds(
-                thetas, profile, spec, printed_form=printed_form
-            )
-
-        return _averaged_over_interference(outage_at, model, spec)
-
-    def outer(anchor_distance_of):
-        def integrand(rhos):
-            return np.array([
-                averaged(anchor_distance_of, float(r)) * distance_density(float(r))
-                for r in rhos
-            ])
-
-        return integrate_finite(integrand, 0.0, rho_cut, spec)
+    def conditional(_, rhos, gammas):
+        return conditional_outage(
+            rhos, gammas, cfg, net, budget, target, spec,
+            printed_form=printed_form,
+        )
 
     if mode == "common-gamma":
-        single = outer(lambda rho: rho)
-        return min(1.0, single) ** cfg.num_fas
-
-    product = 1.0
-    for port in trained_port_indices(cfg):
-        product *= min(
-            1.0, outer(lambda rho, p=port: link_distance(p, rho, cfg))
+        single = _distance_averaged(
+            conditional, [0], lambda k, rho: rho, net, spec
         )
+        return min(1.0, float(single[0])) ** cfg.num_fas
+
+    ports = trained_port_indices(cfg)
+    per_port = _distance_averaged(
+        conditional, [0] * len(ports),
+        lambda k, rho: link_distance(ports[k], rho, cfg), net, spec,
+    )
+    product = 1.0
+    for value in per_port.tolist():
+        product *= min(1.0, value)
     return product ** cfg.num_fas
 
 
@@ -299,34 +345,23 @@ def averaged_outage_bounds(mu_common, cfg, net, budget, target, spec=None):
     and the serving distance keeps the ordering, and raising to the
     antenna count keeps it again, so the pair brackets the common-gamma
     network outage in the interference-limited regime (up to the
-    product-to-sum step the conditional bracket itself rests on).
+    product-to-sum step the conditional bracket itself rests on). The
+    two sides run as one batch.
     """
     if spec is None:
         spec = QuadratureSpec()
-    lam = net.bs_density
-    rho_cut = math.sqrt(math.log(1.0 / DISTANCE_TAIL) / (math.pi * lam))
 
-    def distance_density(rho):
-        return 2.0 * math.pi * lam * rho * math.exp(-math.pi * lam * rho**2)
+    def conditional(sides, rhos, gammas):
+        return np.array([
+            conditional_outage_bounds(
+                rho, gamma, mu_common, cfg, net, budget, target
+            )[side]
+            for side, rho, gamma in zip(
+                sides.tolist(), rhos.tolist(), gammas.tolist()
+            )
+        ])
 
-    def one_side(side):
-        def averaged(rho):
-            model = gamma_interference_model(rho, net)
-
-            def outage_at(gamma):
-                pair = conditional_outage_bounds(
-                    rho, gamma, mu_common, cfg, net, budget, target
-                )
-                return pair[side]
-
-            return _averaged_over_interference(outage_at, model, spec)
-
-        def integrand(rhos):
-            return np.array([
-                averaged(float(r)) * distance_density(float(r))
-                for r in rhos
-            ])
-
-        return min(1.0, integrate_finite(integrand, 0.0, rho_cut, spec))
-
-    return one_side(0) ** cfg.num_fas, one_side(1) ** cfg.num_fas
+    lower, upper = _distance_averaged(
+        conditional, [0, 1], lambda k, rho: rho, net, spec
+    ).tolist()
+    return min(1.0, lower) ** cfg.num_fas, min(1.0, upper) ** cfg.num_fas

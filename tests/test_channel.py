@@ -26,6 +26,12 @@ from fluidcell.geometry import (
     build_frame_budget,
     link_distance,
 )
+from fluidcell.numerics import marcum_q1
+from fluidcell.outage import (
+    joint_outage_given_thresholds,
+    outage_thresholds,
+    sinr_threshold,
+)
 
 from conftest import COHERENCE_BANDWIDTH, COHERENCE_TIME, ESTIMATION_FRACTION
 
@@ -263,6 +269,38 @@ class TestCorrelationProfile:
                 **{**good, "spread_variance": np.array([1.1, 0.0])}
             )
 
+    def test_spread_rows_of_a_batch(self):
+        good = dict(
+            ports=(1, 3),
+            mu=np.array([0.0, 0.5]),
+            channel_variance=1.0,
+            spread_variance=np.array([[1.1, 0.8], [1.2, 0.9]]),
+        )
+        CorrelationProfile(**good)
+        with pytest.raises(ValueError, match="align"):
+            CorrelationProfile(
+                **{**good, "spread_variance": np.ones((2, 3))}
+            )
+        with pytest.raises(ValueError, match="align"):
+            CorrelationProfile(
+                **{**good, "spread_variance": np.ones((2, 2, 2))}
+            )
+
+    def test_batch_of_distances_stacks_single_profiles(
+        self, stock_cfg, stock_net, stock_budget
+    ):
+        rhos = np.array([3.0, 70.0, 70.0, 412.5])
+        batch = correlation_profile(stock_cfg, stock_net, stock_budget, rhos)
+        assert batch.spread_variance.shape == (4, len(batch.ports))
+        for k, rho in enumerate(rhos):
+            single = correlation_profile(
+                stock_cfg, stock_net, stock_budget, float(rho)
+            )
+            assert np.array_equal(batch.mu, single.mu)
+            assert np.array_equal(
+                batch.spread_variance[k], single.spread_variance
+            )
+
 
 # =====================================================================
 # joint magnitude law
@@ -360,6 +398,106 @@ class TestJointMagnitudeCdf:
             joint_magnitude_cdf(np.array([1.0]), profile)
         with pytest.raises(ValueError, match="nonnegative"):
             joint_magnitude_cdf(np.array([1.0, -0.5]), profile)
+
+
+def _batch_matches_single_calls(taus, spreads, mu, ports):
+    batch = CorrelationProfile(
+        ports=ports, mu=mu, channel_variance=1.0, spread_variance=spreads
+    )
+    got = joint_magnitude_cdf(taus, batch)
+    assert got.shape == (len(taus),)
+    expected = [
+        joint_magnitude_cdf(t, CorrelationProfile(
+            ports=ports, mu=mu, channel_variance=1.0, spread_variance=s))
+        for t, s in zip(taus, spreads)
+    ]
+    # bit for bit, not approximately: a row must not see its batch
+    assert got.tolist() == expected
+    return got
+
+
+class TestJointMagnitudeCdfBatch:
+    def test_rows_equal_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        mu = np.array([0.0, 0.64, -0.12, 0.4])
+        spreads = rng.uniform(0.5, 1.5, size=(40, 4))
+        taus = rng.uniform(0.05, 3.0, size=(40, 4))
+        taus[5, 2] = 0.0  # a zero threshold anywhere gives exactly 0
+        taus[11, 0] = 0.0
+        taus[17] = 40.0   # past the truncation radius
+        got = _batch_matches_single_calls(taus, spreads, mu, (1, 3, 5, 7))
+        assert got[5] == 0.0 and got[11] == 0.0
+        assert np.count_nonzero(got) == len(got) - 2
+
+    def test_groups_of_a_large_batch_match_single_calls(self, monkeypatch):
+        # three (row, port) pairs per group: one row of four ports each
+        monkeypatch.setattr("fluidcell.channel._GROUP_PAIRS", 3)
+        rng = np.random.default_rng(11)
+        spreads = rng.uniform(0.5, 1.5, size=(7, 4))
+        taus = rng.uniform(0.05, 3.0, size=(7, 4))
+        _batch_matches_single_calls(
+            taus, spreads, np.array([0.0, 0.64, -0.12, 0.4]), (1, 3, 5, 7)
+        )
+
+    def test_one_port_exact_branch(self):
+        # this threshold squares one ulp apart under libm's pow and
+        # numpy's square: the batch must round as the scalar formula
+        tau = 0.4786618688802179
+        spreads = np.array([[1.2], [0.7], [1.2]])
+        taus = np.array([[0.9], [0.0], [tau]])
+        got = _batch_matches_single_calls(taus, spreads, np.array([0.0]), (1,))
+        assert got[1] == 0.0
+        assert got[2] == -math.expm1(-(tau**2) / 1.2)
+
+    def test_printed_form_thresholds(
+        self, desk_cfg, stock_net, desk_budget
+    ):
+        # printed_form substitutes power thresholds as magnitudes: large
+        # limits on the truncated exp(-t) integral
+        target = sinr_threshold(1.0, desk_budget)
+        rhos = np.array([5.0, 40.0, 70.0, 140.0, 300.0])
+        gammas = np.array([0.0, 1e-9, 3e-7, 0.0, 2e-8])
+        profile = correlation_profile(desk_cfg, stock_net, desk_budget, rhos)
+        thetas = outage_thresholds(
+            rhos, gammas, desk_cfg, stock_net, desk_budget, target
+        )
+        for printed in (False, True):
+            batch = joint_outage_given_thresholds(
+                thetas, profile, printed_form=printed
+            )
+            for k, rho in enumerate(rhos):
+                single = correlation_profile(
+                    desk_cfg, stock_net, desk_budget, float(rho)
+                )
+                assert batch[k] == joint_outage_given_thresholds(
+                    thetas[k], single, printed_form=printed
+                )
+
+    def test_one_marcum_call_per_round(self, monkeypatch):
+        calls = []
+
+        def counted(alpha, beta):
+            calls.append(np.shape(alpha))
+            return marcum_q1(alpha, beta)
+
+        monkeypatch.setattr("fluidcell.channel.marcum_q1", counted)
+        rng = np.random.default_rng(3)
+        spreads = rng.uniform(0.5, 1.5, size=(25, 3))
+        taus = rng.uniform(0.05, 3.0, size=(25, 3))
+        profile = CorrelationProfile(
+            ports=(1, 3, 5), mu=np.array([0.0, 0.64, 0.12]),
+            channel_variance=1.0, spread_variance=spreads,
+        )
+        joint_magnitude_cdf(taus, profile)
+        batched = len(calls)
+        singles = []
+        for t, s in zip(taus, spreads):
+            calls.clear()
+            joint_magnitude_cdf(t, CorrelationProfile(
+                ports=(1, 3, 5), mu=profile.mu, channel_variance=1.0,
+                spread_variance=s))
+            singles.append(len(calls))
+        assert batched == max(singles)
 
 
 class TestJointMagnitudePdf:

@@ -303,6 +303,107 @@ class TestIntegrateFinite:
             integrate_finite(np.exp, 1.0, 0.0)
 
 
+def _row_integrand(funcs, calls):
+    """Batched integrand that evaluates funcs[k] on the nodes of row k."""
+
+    def f(x, rows):
+        calls.append(len(x))
+        out = np.empty_like(x)
+        for k in np.unique(rows):
+            mask = rows == k
+            out[mask] = funcs[k](x[mask])
+        return out
+
+    return f
+
+
+def _counted(func, calls):
+    def f(x):
+        calls.append(len(x))
+        return func(x)
+
+    return f
+
+
+def _spike(center, floor):
+    return lambda x: 1.0 / (np.abs(x - center) + floor)
+
+
+class TestIntegrateFiniteBatch:
+    # mixed limits and shapes; the third row is degenerate
+    FUNCS = (
+        np.exp,
+        np.sin,
+        np.cos,
+        lambda x: np.exp(-((x - 0.37301) / 1e-2) ** 2),
+        lambda x: x**3 - 2.0 * x,
+        _spike(0.25, 1e-3),
+    )
+    LOWS = np.array([0.0, -1.0, 2.0, 0.0, -5.0, 0.0])
+    HIGHS = np.array([1.0, 6.0, 2.0, 1.0, 1.5, 1.0])
+
+    def test_rows_equal_single_calls_exactly(self):
+        calls = []
+        values, errors = integrate_finite_with_error(
+            _row_integrand(self.FUNCS, calls), self.LOWS, self.HIGHS
+        )
+        assert values.shape == errors.shape == (len(self.FUNCS),)
+        rounds = []
+        for k, func in enumerate(self.FUNCS):
+            single = []
+            value, err = integrate_finite_with_error(
+                _counted(func, single), self.LOWS[k], self.HIGHS[k]
+            )
+            assert values[k] == value and errors[k] == err
+            rounds.append(len(single))
+        assert values[2] == 0.0 and errors[2] == 0.0
+        # one integrand call per round: the slowest row sets the count
+        assert len(calls) == max(rounds)
+        # the first round of a row is three panels, each later one four
+        assert calls[0] == 3 * 10 * (len(self.FUNCS) - 1)
+
+    def test_scalar_call_is_the_one_row_batch(self):
+        values, errors = integrate_finite_with_error(
+            _row_integrand(self.FUNCS[3:4], []), [0.0], [1.0]
+        )
+        assert (values[0], errors[0]) == integrate_finite_with_error(
+            self.FUNCS[3], 0.0, 1.0
+        )
+        assert integrate_finite(
+            _row_integrand(self.FUNCS[:1], []), np.zeros(1), 1.0
+        )[0] == integrate_finite(np.exp, 0.0, 1.0)
+
+    def test_exhausted_row_raises_with_its_own_estimate(self):
+        spec = QuadratureSpec(max_subdivisions=16)
+        funcs = (np.exp, _spike(0.37301, 1e-14), np.cos,
+                 _spike(0.61, 1e-14))
+        with pytest.raises(ConvergenceError) as single:
+            integrate_finite(funcs[1], 0.0, 1.0, spec)
+        with pytest.raises(ConvergenceError) as batch:
+            integrate_finite_with_error(
+                _row_integrand(funcs, []), np.zeros(4), np.ones(4), spec
+            )
+        # rows 1 and 3 both fail; the lowest numbered one is reported
+        assert "row 1" in str(batch.value)
+        assert batch.value.estimate == single.value.estimate
+        assert batch.value.error_estimate == single.value.error_estimate
+
+    def test_empty_batch(self):
+        values, errors = integrate_finite_with_error(
+            _row_integrand((), []), np.zeros(0), np.zeros(0)
+        )
+        assert values.shape == errors.shape == (0,)
+
+    def test_rejects_bad_limits(self):
+        f = _row_integrand(self.FUNCS, [])
+        with pytest.raises(ValueError, match="lower limit"):
+            integrate_finite(f, np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            integrate_finite(f, np.array([0.0, np.nan]), 1.0)
+        with pytest.raises(ValueError, match="1-D"):
+            integrate_finite(f, np.zeros((2, 2)), 1.0)
+
+
 class TestGammaPdf:
     def test_shape_one_is_exponential(self):
         x = np.linspace(0.01, 8.0, 200)

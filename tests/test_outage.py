@@ -15,7 +15,7 @@ from fluidcell.geometry import (
     link_distance,
     trained_port_indices,
 )
-from fluidcell.numerics import QuadratureSpec
+from fluidcell.numerics import QuadratureSpec, marcum_q1
 from fluidcell.outage import (
     RateTarget,
     averaged_outage_bounds,
@@ -155,6 +155,32 @@ class TestOutageThresholds:
             outage_thresholds(
                 70.0, -1e-8, stock_cfg, stock_net, stock_budget, stock_target
             )
+        with pytest.raises(ValueError):
+            outage_thresholds(
+                np.array([70.0, 0.0]), 1e-8, stock_cfg, stock_net,
+                stock_budget, stock_target,
+            )
+
+    def test_batch_of_distances_stacks_single_calls(
+        self, stock_cfg, stock_net, stock_budget, stock_target
+    ):
+        rhos = np.array([3.0, 70.0, 70.0, 412.5])
+        levels = np.array([0.0, 3e-8, 1e-9, 2e-7])
+        per_port = np.outer(levels, np.linspace(1.0, 2.0, 8))
+        # (batch argument, the single call's argument per row)
+        cases = ((levels, levels), (per_port, per_port),
+                 (5e-8, np.full(4, 5e-8)))
+        for inter, rows in cases:
+            batch = outage_thresholds(
+                rhos, inter, stock_cfg, stock_net, stock_budget, stock_target
+            )
+            assert batch.shape == (4, 8)
+            for k, rho in enumerate(rhos):
+                single = outage_thresholds(
+                    float(rho), rows[k], stock_cfg, stock_net, stock_budget,
+                    stock_target,
+                )
+                assert np.array_equal(batch[k], single)
 
 
 # =====================================================================
@@ -386,6 +412,40 @@ class TestOutageProbability:
         net = NetworkConfig(tx_power=10.0 ** ((dbm - 30.0) / 10.0))
         got = outage_probability(stock_cfg, net, stock_budget, stock_target)
         assert abs(got - expected) <= 1e-9
+
+    def test_marcum_call_count_guard(
+        self, desk_cfg, desk_budget, monkeypatch
+    ):
+        # desk array at bs_density 1e-3: one Marcum Q call per
+        # quadrature panel made 2,338 calls here; batching the three
+        # nested quadratures makes one per refinement round. The value
+        # is the panel-by-panel one, to the last bit.
+        calls = []
+
+        def counted(alpha, beta):
+            calls.append(np.shape(alpha))
+            return marcum_q1(alpha, beta)
+
+        monkeypatch.setattr("fluidcell.channel.marcum_q1", counted)
+        net = NetworkConfig(bs_density=1e-3)
+        target = sinr_threshold(1.0, desk_budget)
+        got = outage_probability(desk_cfg, net, desk_budget, target)
+        assert len(calls) <= 234
+        assert got == 0.15093386624370483
+
+    def test_pair_chunks_leave_the_value_unchanged(
+        self, desk_cfg, desk_budget, monkeypatch
+    ):
+        net = NetworkConfig(bs_density=1e-3)
+        target = sinr_threshold(1.0, desk_budget)
+        whole = outage_probability(
+            desk_cfg, net, desk_budget, target, spec=FAST_SPEC
+        )
+        monkeypatch.setattr("fluidcell.outage._PAIRS_PER_CALL", 3)
+        chunked = outage_probability(
+            desk_cfg, net, desk_budget, target, spec=FAST_SPEC
+        )
+        assert chunked == whole
 
 
 class TestAveragedOutageBounds:
