@@ -8,11 +8,9 @@ cross-checked numerically.
 
 from .channel import (
     CorrelationProfile,
-    EstimationQuality,
     autocorrelation,
     correlation_profile,
     error_variance_at,
-    estimation_error_variance,
     joint_magnitude_cdf,
     joint_magnitude_pdf,
     min_skipped_ports,
@@ -22,11 +20,8 @@ from .channel import (
 from .field import (
     InterferenceModel,
     NetworkConfig,
-    default_outer_radius,
     gamma_interference_model,
     mean_interference,
-    sample_gamma_interference,
-    sample_interferers,
     sample_serving_distance,
 )
 from .geometry import (
@@ -42,11 +37,9 @@ from .geometry import (
     trained_port_indices,
 )
 from .mc import (
-    TrialOutcome,
     TrialPlan,
     estimate_lmmse_mse,
     estimate_outage,
-    run_trial,
 )
 from .numerics import (
     ConvergenceError,
@@ -55,7 +48,6 @@ from .numerics import (
     bessel_i0e,
     bessel_j0,
     erf,
-    gamma_pdf,
     integrate_finite,
     integrate_finite_with_error,
     marcum_q1,
@@ -75,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "CorrelationProfile",
-    "EstimationQuality",
     "FaArrayConfig",
     "FluidParams",
     "FrameBudget",
@@ -84,7 +75,6 @@ __all__ = [
     "NetworkConfig",
     "QuadratureSpec",
     "RateTarget",
-    "TrialOutcome",
     "TrialPlan",
     "autocorrelation",
     "bessel_i0",
@@ -94,15 +84,12 @@ __all__ = [
     "conditional_outage",
     "conditional_outage_bounds",
     "correlation_profile",
-    "default_outer_radius",
     "erf",
     "error_variance_at",
     "estimate_lmmse_mse",
     "estimate_outage",
-    "estimation_error_variance",
     "fluid_velocity",
     "gamma_interference_model",
-    "gamma_pdf",
     "integrate_finite",
     "integrate_finite_with_error",
     "joint_magnitude_cdf",
@@ -116,10 +103,7 @@ __all__ = [
     "outage_thresholds",
     "pilot_noise_ratio",
     "port_displacement",
-    "run_trial",
     "sample_correlated_channels",
-    "sample_gamma_interference",
-    "sample_interferers",
     "sample_serving_distance",
     "sinr_threshold",
     "switching_delay",

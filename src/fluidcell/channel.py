@@ -31,30 +31,16 @@ from .numerics import (
 )
 
 __all__ = [
-    "EstimationQuality",
     "CorrelationProfile",
     "autocorrelation",
     "pilot_noise_ratio",
-    "estimation_error_variance",
+    "error_variance_at",
     "min_skipped_ports",
     "correlation_profile",
     "joint_magnitude_cdf",
     "joint_magnitude_pdf",
     "sample_correlated_channels",
 ]
-
-
-@dataclass(frozen=True)
-class EstimationQuality:
-    """Residual LMMSE error variance of one port's channel estimate."""
-
-    error_variance: float
-    distance: float   # serving distance the variance was evaluated at, m
-    port: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.error_variance:
-            raise ValueError("error_variance must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -128,19 +114,6 @@ def error_variance_at(r, pilot_length, net):
     """LMMSE error variance at link distance ``r``; accepts arrays."""
     bracket = pilot_noise_ratio(r, net)
     return net.channel_variance * bracket / (bracket + pilot_length)
-
-
-def estimation_error_variance(i, rho, cfg, budget, net):
-    """Residual estimate error variance at trained port ``i``.
-
-    Monotone in the frame split: longer pilots shrink it, more antennas
-    or more trained ports (shorter pilots each) grow it.
-    """
-    if rho <= 0.0:
-        raise ValueError("serving distance must be positive")
-    r = link_distance(i, rho, cfg)
-    value = float(error_variance_at(r, budget.pilot_length, net))
-    return EstimationQuality(error_variance=value, distance=rho, port=i)
 
 
 def min_skipped_ports(target_variance, rho, i, cfg, params, net,

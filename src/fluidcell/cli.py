@@ -37,7 +37,7 @@ from .geometry import (
     build_frame_budget,
     trained_port_indices,
 )
-from .mc import WORKERS_ENV, TrialPlan, estimate_outage
+from .mc import TrialPlan, estimate_outage, worker_count
 from .outage import averaged_outage_bounds, outage_probability, sinr_threshold
 
 __all__ = [
@@ -146,32 +146,15 @@ class RunConfig:
         return sinr_threshold(self.rate, budget, printed_exponent)
 
     def describe(self):
-        pairs = [
-            f"bs_density={self.network.bs_density:g}",
-            f"path_loss_exponent={self.network.path_loss_exponent:g}",
-            f"tx_power={self.network.tx_power:g}",
-            f"noise_power={self.network.noise_power:g}",
-            f"channel_variance={self.network.channel_variance:g}",
-            f"num_fas={self.array.num_fas}",
-            f"ports_per_fa={self.array.ports_per_fa}",
-            f"skipped_ports={self.array.skipped_ports}",
-            f"aperture_wavelengths={self.array.aperture_wavelengths:g}",
-            f"wavelength={self.array.wavelength:g}",
-            f"charge={self.fluid.charge:g}",
-            f"viscosity={self.fluid.viscosity:g}",
-            f"thickness_to_length={self.fluid.thickness_to_length:g}",
-            f"voltage_delta={self.fluid.voltage_delta:g}",
-            f"coherence_bandwidth={self.coherence_bandwidth:g}",
-            f"coherence_time={self.coherence_time:g}",
-            f"estimation_fraction={self.estimation_fraction:g}",
-            f"rate={self.rate:g}",
-            f"target_variance={self.target_variance:g}",
-            f"trials={self.plan.num_trials}",
-            f"seed={self.plan.seed}",
-            f"chunk_size={self.plan.chunk_size}",
-            f"faithful_pilots={int(self.plan.faithful_pilots)}",
-        ]
-        return " ".join(pairs)
+        """Every config key with its resolved value, in file-key order."""
+        values = {"trials": self.plan.num_trials}
+        for part in (self, self.network, self.array, self.fluid, self.plan):
+            values.update(vars(part))
+        return " ".join(
+            f"{key}={int(values[key])}" if key in _INT_KEYS
+            else f"{key}={values[key]:g}"
+            for key in _DEFAULTS
+        )
 
 
 @dataclass(frozen=True)
@@ -328,30 +311,16 @@ def default_config():
 # Sweep execution
 # ---------------------------------------------------------------------------
 
-def _rebuild_network(net, **overrides):
-    fields = {
-        "bs_density": net.bs_density,
-        "path_loss_exponent": net.path_loss_exponent,
-        "tx_power": net.tx_power,
-        "noise_power": net.noise_power,
-        "channel_variance": net.channel_variance,
-    }
-    fields.update(overrides)
-    return NetworkConfig(**fields)
-
-
 def _apply_sweep_value(base, parameter, value):
     if parameter == "tx-power":
-        return replace(base, network=_rebuild_network(base.network,
-                                                      tx_power=value))
+        return replace(base, network=replace(base.network, tx_power=value))
     if parameter == "num-fas":
         return replace(base, array=replace(base.array, num_fas=int(value)))
     if parameter == "ports-per-fa":
         return replace(base, array=replace(base.array,
                                            ports_per_fa=int(value)))
     if parameter == "bs-density":
-        return replace(base, network=_rebuild_network(base.network,
-                                                      bs_density=value))
+        return replace(base, network=replace(base.network, bs_density=value))
     if parameter == "target-variance":
         return replace(base, target_variance=value)
     raise ConfigError(f"unknown sweep parameter {parameter!r}")
@@ -468,13 +437,6 @@ def _compute_point(index, value, spec, base, printed_forms, mode):
     return row, failures
 
 
-def _pool_size():
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def run_sweep(spec, base, printed_forms=False, mode="both"):
     """Evaluate every grid point; returns (rows, failure messages).
 
@@ -489,7 +451,7 @@ def run_sweep(spec, base, printed_forms=False, mode="both"):
         return _compute_point(args[0], args[1], spec, base,
                               printed_forms, mode)
 
-    workers = _pool_size()
+    workers = worker_count(default=os.cpu_count() or 1)
     items = list(enumerate(spec.grid))
     if workers <= 1 or len(items) == 1:
         results = [point(item) for item in items]
@@ -619,16 +581,13 @@ def main(argv=None):
 
     try:
         base = load_config(args.config) if args.config else default_config()
-        if args.trials is not None or args.seed is not None:
-            plan = base.plan
-            new_plan = TrialPlan(
-                num_trials=args.trials if args.trials is not None
-                else plan.num_trials,
-                seed=args.seed if args.seed is not None else plan.seed,
-                chunk_size=plan.chunk_size,
-                faithful_pilots=plan.faithful_pilots,
-            )
-            base = replace(base, plan=new_plan)
+        overrides = {"num_trials": args.trials, "seed": args.seed}
+        overrides = {k: v for k, v in overrides.items() if v is not None}
+        try:
+            base = replace(base, plan=replace(base.plan, **overrides))
+            worker_count()  # a bad FLUIDCELL_WORKERS fails before any point
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
         engines = None
         if args.engines:

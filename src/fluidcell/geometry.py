@@ -99,7 +99,6 @@ class FrameBudget:
     switching_uses: float        # uses lost to port motion during training
     pilot_length: float          # uses per trained port per antenna
     trained_count: int           # trained ports per antenna
-    trained_ports: tuple         # 1-based indices of trained ports
 
 
 def port_displacement(i, cfg):
@@ -183,8 +182,7 @@ def build_frame_budget(cfg, params, coherence_bandwidth, coherence_time,
         raise InfeasibleFrameError("estimation share below one channel use")
     data = total - estimation
 
-    trained = trained_port_indices(cfg)
-    count = len(trained)
+    count = len(trained_port_indices(cfg))
     if count != math.ceil(cfg.ports_per_fa / (cfg.skipped_ports + 1)):
         raise AssertionError("trained port set inconsistent with stride")
 
@@ -210,5 +208,4 @@ def build_frame_budget(cfg, params, coherence_bandwidth, coherence_time,
         switching_uses=float(switching),
         pilot_length=float(pilot),
         trained_count=int(count),
-        trained_ports=trained,
     )

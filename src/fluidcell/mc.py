@@ -6,11 +6,14 @@ ports, runs the two-stage port selection, and flags outage on the best
 candidate's SINR. Nothing here reuses the analytic averaging; agreement
 between the two paths is the package's core validation.
 
-The field is sampled exactly, with independent fades per draw, within
-``NEAR_FIELD_RATIO`` times the serving distance. Everything beyond adds
-its Campbell mean, a share ``NEAR_FIELD_RATIO^(2 - a)`` of the mean
-interference (1% at a = 4). That keeps about a hundred interferers per
-trial at any density and path-loss exponent.
+The SINR charges the estimate's error through its variance, and each
+antenna's candidate sees fresh interferer fades over the trial's shared
+interferer positions. The field is sampled exactly, with independent
+fades per draw, within ``NEAR_FIELD_RATIO`` times the serving distance.
+Everything beyond adds its Campbell mean, a share
+``NEAR_FIELD_RATIO^(2 - a)`` of the mean interference (1% at a = 4).
+That keeps about a hundred interferers per trial at any density and
+path-loss exponent.
 
 Trials run in fixed-size chunks, each with its own counter-derived
 random stream, so results are identical for any worker count and the
@@ -32,8 +35,7 @@ from .geometry import link_distance, port_displacement, trained_port_indices
 
 __all__ = [
     "TrialPlan",
-    "TrialOutcome",
-    "run_trial",
+    "worker_count",
     "estimate_outage",
     "estimate_lmmse_mse",
 ]
@@ -47,34 +49,20 @@ NEAR_FIELD_RATIO = 10.0
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """Size, seeding, and model switches of one simulation run."""
+    """Size, seeding, and pilot model of one simulation run."""
 
     num_trials: int
     seed: int = 0
     faithful_pilots: bool = False     # simulate the pilot phase explicitly
-    outer_radius: float = None        # floor of the exact-field radius, m
     chunk_size: int = 1024
-    shared_candidate_fades: bool = False  # one fade set for all candidates
-    realized_error_sinr: bool = False     # realized |error|^2 in the SINR
 
     def __post_init__(self):
         if self.num_trials < 1:
             raise ValueError("num_trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
-        if self.outer_radius is not None and self.outer_radius <= 0.0:
-            raise ValueError("outer_radius must be positive when given")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Everything observable from a single simulated coherence block."""
-
-    serving_distance: float
-    candidate_ports: tuple       # 1-based winning port per antenna
-    winning_sinr: float
-    outage: bool
-    estimation_errors: np.ndarray  # (num_fas, trained_count) complex
 
 
 def _chunk_rng(seed, stream_key, chunk_index):
@@ -85,12 +73,8 @@ def _chunk_rng(seed, stream_key, chunk_index):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _segment_sums(trial_idx, weights, n):
-    return np.bincount(trial_idx, weights=weights, minlength=n)
-
-
-def _simulate_chunk(rng, n, cfg, net, budget, target, plan, collect=False):
-    """Simulate ``n`` trials; returns the outage count (and details)."""
+def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
+    """Simulate ``n`` trials; returns the outage count."""
     lam = net.bs_density
     a = net.path_loss_exponent
     sigma_sq = net.channel_variance
@@ -103,11 +87,8 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan, collect=False):
     rho = sample_serving_distance(rng, lam, size=n)
     r_ports = np.sqrt(rho[:, None] ** 2 + d[None, :] ** 2)  # (n, j)
 
-    # interferer positions, shared by every port and candidate in a trial;
-    # the plan's outer_radius only ever widens the exact near field
+    # interferer positions, shared by every port and candidate in a trial
     radius = NEAR_FIELD_RATIO * rho
-    if plan.outer_radius is not None:
-        radius = np.maximum(radius, plan.outer_radius)
     far_mean = mean_interference(radius, net)
     counts = rng.poisson(lam * math.pi * (radius**2 - rho**2))
     total = int(counts.sum())
@@ -138,8 +119,11 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan, collect=False):
     def faded_sums():
         fades = rng.standard_exponential(total, dtype=np.float32)
         fades *= path_gain
-        return sigma_sq * _segment_sums(trial_idx, fades, n) + far_mean
+        return sigma_sq * np.bincount(
+            trial_idx, weights=fades, minlength=n
+        ) + far_mean
 
+    err = error_variance_at(r_ports, budget.pilot_length, net)  # (n, j)
     if plan.faithful_pilots:
         # pilot observation per port: correlating against the unit-norm
         # pilot collapses the interferers to one complex Gaussian whose
@@ -165,7 +149,6 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan, collect=False):
     else:
         # orthogonal split: the estimate and the error are uncorrelated,
         # with the estimate carrying variance sigma^2 - sigma_e^2
-        err = error_variance_at(r_ports, budget.pilot_length, net)  # (n, j)
         c = 1.0 - err / sigma_sq
         xre = rng.normal(0.0, scale, (n, m, j))
         xim = rng.normal(0.0, scale, (n, m, j))
@@ -182,65 +165,38 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan, collect=False):
 
     g_hat_win = at_winner(g_hat)
     r_win = at_winner(r_ports[:, None, :])
-
-    if plan.realized_error_sinr:
-        err_win = np.abs(at_winner(g) - g_hat_win) ** 2
-    else:
-        err_win = at_winner(
-            error_variance_at(r_ports, budget.pilot_length, net)[:, None, :]
-        )
+    err_win = at_winner(err[:, None, :])
 
     # stage-2 candidates see freshly drawn interferer fades over the
-    # shared positions (uncorrelated branches); the shared-fade switch
-    # exists only for sensitivity comparisons
-    if plan.shared_candidate_fades:
-        data_inter = np.repeat(faded_sums()[:, None], m, axis=1)
-    else:
-        data_inter = np.empty((n, m))
-        for k in range(m):
-            data_inter[:, k] = faded_sums()
+    # shared positions (uncorrelated branches)
+    data_inter = np.empty((n, m))
+    for k in range(m):
+        data_inter[:, k] = faded_sums()
 
     sinr = np.abs(g_hat_win) ** 2 / (
         r_win**a
         * (data_inter + err_win / r_win**a + 1.0 / net.transmit_snr)
     )
-    best = sinr.max(axis=1)
-    flags = best < target.threshold
-    count = int(flags.sum())
-    if not collect:
-        return count
-
-    details = {
-        "rho": rho,
-        "candidates": np.asarray(ports)[win],
-        "winning_sinr": best,
-        "outage": flags,
-        "errors": g - g_hat,
-    }
-    return count, details
+    return int((sinr.max(axis=1) < target.threshold).sum())
 
 
-def run_trial(rng, cfg, net, budget, target, plan):
-    """One full simulated block, reported in detail."""
-    _, details = _simulate_chunk(
-        rng, 1, cfg, net, budget, target, plan, collect=True
-    )
-    return TrialOutcome(
-        serving_distance=float(details["rho"][0]),
-        candidate_ports=tuple(int(p) for p in details["candidates"][0]),
-        winning_sinr=float(details["winning_sinr"][0]),
-        outage=bool(details["outage"][0]),
-        estimation_errors=details["errors"][0],
-    )
+def worker_count(workers=None, default=1):
+    """Pool size: ``workers``, else ``FLUIDCELL_WORKERS``, else ``default``.
 
-
-def _resolve_workers(workers):
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
+    Values below one mean one. Raises ``ValueError`` when the
+    environment variable is set but is not an integer.
+    """
+    if workers is None:
+        text = os.environ.get(WORKERS_ENV, "").strip()
+        if not text:
+            return default
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ValueError(
+                f"{WORKERS_ENV} must be an integer, got {text!r}"
+            ) from None
+    return max(1, int(workers))
 
 
 def estimate_outage(plan, cfg, net, budget, target, workers=None,
@@ -260,7 +216,7 @@ def estimate_outage(plan, cfg, net, budget, target, workers=None,
         rng = _chunk_rng(plan.seed, stream_key, index)
         return _simulate_chunk(rng, size, cfg, net, budget, target, plan)
 
-    pool = _resolve_workers(workers)
+    pool = worker_count(workers)
     if pool <= 1 or n_chunks == 1:
         count = sum(one(i) for i in range(n_chunks))
     else:

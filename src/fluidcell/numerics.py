@@ -39,7 +39,6 @@ __all__ = [
     "bessel_i0e",
     "erf",
     "marcum_q1",
-    "gamma_pdf",
     "integrate_finite",
     "integrate_finite_with_error",
 ]
@@ -183,28 +182,6 @@ def marcum_q1(alpha, beta):
     out[live] = values
     out = np.clip(out, 0.0, 1.0).reshape(shape)
     return _scalar_or_array(out, alpha if np.ndim(alpha) else beta)
-
-
-def gamma_pdf(x, shape, scale):
-    """Gamma density evaluated in log space.
-
-    The moment-matched interference model can produce shapes far below
-    machine epsilon, where the naive density over/underflows; the
-    log-space form keeps those cases finite.
-    """
-    if not (shape > 0.0 and scale > 0.0):
-        raise ValueError("gamma_pdf shape and scale must be strictly positive")
-    arr = _as_finite_array(x, "gamma_pdf argument")
-    if np.any(arr <= 0.0):
-        raise ValueError("gamma_pdf is defined for strictly positive arguments")
-    log_pdf = (
-        (shape - 1.0) * np.log(arr)
-        - arr / scale
-        - _sf.gammaln(shape)
-        - shape * math.log(scale)
-    )
-    with np.errstate(under="ignore"):
-        return _scalar_or_array(np.exp(log_pdf), x)
 
 
 # ---------------------------------------------------------------------------

@@ -131,17 +131,14 @@ def joint_outage_given_thresholds(thetas, profile, spec=None,
 
 
 def conditional_outage(rho, interference, cfg, net, budget, target,
-                       spec=None, printed_form=False, profile=None):
+                       spec=None, printed_form=False):
     """Outage probability of one antenna given distance and interference.
 
-    ``profile`` may carry a precomputed correlation profile for this
-    distance; callers looping over interference values avoid rebuilding
-    it. A 1-D array of distances, with interference as in
+    A 1-D array of distances, with interference as in
     :func:`outage_thresholds`, gives one outage per distance, computed
     as one batch.
     """
-    if profile is None:
-        profile = correlation_profile(cfg, net, budget, rho)
+    profile = correlation_profile(cfg, net, budget, rho)
     thetas = outage_thresholds(rho, interference, cfg, net, budget, target)
     return joint_outage_given_thresholds(
         thetas, profile, spec, printed_form=printed_form
@@ -153,17 +150,13 @@ def conditional_outage(rho, interference, cfg, net, budget, target,
 # ---------------------------------------------------------------------------
 
 def conditional_outage_bounds(rho, interference, mu_common, cfg, net,
-                              budget, target, printed_extra_term=False):
+                              budget, target):
     """Closed-form (lower, upper) outage bracket, no quadrature.
 
     Valid in the interference-limited regime with one common
     correlation across trained ports and a common link distance. The
     estimation error variance collapses to its interference-only form
     with the per-port training share read off the data-use count.
-
-    ``printed_extra_term`` subtracts an additional series from the
-    upper bound; it is kept only for comparison because it pushes the
-    upper bound below the lower one at high correlation.
     """
     if rho <= 0.0:
         raise ValueError("serving distance must be positive")
@@ -195,19 +188,8 @@ def conditional_outage_bounds(rho, interference, mu_common, cfg, net,
     upsilon_low = -math.expm1(-xi[0] * (1.0 + mu) ** 2) / (1.0 + mu**2)
     tail = float(np.sum(decay))
 
-    upper = base - upsilon_up * tail
-    lower = base - upsilon_low * tail
-    if printed_extra_term:
-        extra = (
-            2.0 * math.pi * mu**2 / (1.0 + mu**2) ** 1.5
-            * float(np.sum(
-                np.sqrt(xi) * np.exp(-xi * (2.0 + mu**2) / (1.0 + mu**2))
-            ))
-        )
-        upper -= extra
-
-    lower = min(1.0, max(0.0, lower))
-    upper = min(1.0, max(0.0, upper))
+    upper = min(1.0, max(0.0, base - upsilon_up * tail))
+    lower = min(1.0, max(0.0, base - upsilon_low * tail))
     return lower, upper
 
 

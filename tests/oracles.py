@@ -1,7 +1,8 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Each oracle evaluates a different representation than the production
-code (power series, direct quadrature), so agreement is meaningful.
+code (power series, direct quadrature, the exact interferer field), so
+agreement is meaningful.
 """
 
 import math
@@ -46,6 +47,22 @@ def erf_quadrature(x):
         )
         flat[idx] = math.copysign(2.0 / math.sqrt(math.pi) * val, value)
     return out
+
+
+def sample_annulus(rng, bs_density, inner, outer):
+    """Interferer distances (m) of one exact field snapshot in (inner, outer].
+
+    The count is Poisson with the annulus intensity and the squared
+    radius is uniform between the bounds; the caller picks ``outer``
+    and so decides how much of the field's mean it leaves out.
+    """
+    if inner <= 0.0:
+        raise ValueError("inner radius must be positive")
+    if outer <= inner:
+        raise ValueError("outer radius must exceed the inner one")
+    area = math.pi * (outer**2 - inner**2)
+    count = rng.poisson(bs_density * area)
+    return np.sqrt(rng.uniform(inner**2, outer**2, size=count))
 
 
 def marcum_quadrature(a, b):

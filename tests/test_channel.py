@@ -11,7 +11,6 @@ from fluidcell.channel import (
     autocorrelation,
     correlation_profile,
     error_variance_at,
-    estimation_error_variance,
     joint_magnitude_cdf,
     joint_magnitude_pdf,
     min_skipped_ports,
@@ -25,6 +24,8 @@ from fluidcell.geometry import (
     InfeasibleFrameError,
     build_frame_budget,
     link_distance,
+    port_displacement,
+    trained_port_indices,
 )
 from fluidcell.numerics import marcum_q1
 from fluidcell.outage import (
@@ -138,22 +139,33 @@ class TestErrorVariance:
     def test_port_quality_uses_own_link_distance(
         self, stock_cfg, stock_budget, stock_net
     ):
+        # the last port sits one aperture off broadside, so its link is
+        # longer than the first port's and its estimate worse
         rho = 70.0
-        q = estimation_error_variance(15, rho, stock_cfg, stock_budget, stock_net)
-        r = link_distance(15, rho, stock_cfg)
+        pilot = stock_budget.pilot_length
+        first = float(error_variance_at(
+            link_distance(1, rho, stock_cfg), pilot, stock_net
+        ))
+        last = float(error_variance_at(
+            link_distance(15, rho, stock_cfg), pilot, stock_net
+        ))
+        offset = math.hypot(rho, port_displacement(15, stock_cfg))
         np.testing.assert_allclose(
-            q.error_variance,
-            float(error_variance_at(r, stock_budget.pilot_length, stock_net)),
+            last,
+            float(error_variance_at(offset, pilot, stock_net)),
             rtol=1e-12,
         )
-        assert q.port == 15
-        assert q.distance == rho
+        assert first == float(error_variance_at(rho, pilot, stock_net))
+        assert last > first
 
     def test_rejects_nonpositive_distance(
         self, stock_cfg, stock_budget, stock_net
     ):
         with pytest.raises(ValueError):
-            estimation_error_variance(1, 0.0, stock_cfg, stock_budget, stock_net)
+            error_variance_at(
+                link_distance(1, 0.0, stock_cfg), stock_budget.pilot_length,
+                stock_net,
+            )
 
 
 # =====================================================================
@@ -188,9 +200,9 @@ class TestMinSkippedPorts:
                 cfg, params, COHERENCE_BANDWIDTH, COHERENCE_TIME,
                 ESTIMATION_FRACTION,
             )
-            achieved = estimation_error_variance(
-                1, rho, cfg, budget, stock_net
-            ).error_variance
+            achieved = float(error_variance_at(
+                link_distance(1, rho, cfg), budget.pilot_length, stock_net
+            ))
             assert achieved <= target * (1.0 + 1e-9)
 
     def test_decreasing_and_convex_in_target(self, stock_cfg, stock_net):
@@ -234,15 +246,16 @@ class TestCorrelationProfile:
     ):
         rho = 70.0
         profile = correlation_profile(stock_cfg, stock_net, stock_budget, rho)
-        assert profile.ports == stock_budget.trained_ports
+        assert profile.ports == trained_port_indices(stock_cfg)
         assert profile.mu[0] == 0.0
         for k, p in enumerate(profile.ports):
             np.testing.assert_allclose(
                 profile.mu[k], autocorrelation(p, stock_cfg), rtol=1e-12
             )
-            err = estimation_error_variance(
-                p, rho, stock_cfg, stock_budget, stock_net
-            ).error_variance
+            err = float(error_variance_at(
+                link_distance(p, rho, stock_cfg), stock_budget.pilot_length,
+                stock_net,
+            ))
             expected = (
                 stock_net.channel_variance * (1.0 - profile.mu[k] ** 2) + err
             )

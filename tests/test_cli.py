@@ -117,12 +117,25 @@ class TestLoadConfig:
             ("rate = -0.5", "rate"),
             ("coherence_time = 0", "coherence_time"),
             ("ports_per_fa = 0", None),
+            ("seed = -1", "seed"),
         ],
     )
     def test_semantic_validation(self, tmp_path, line, match):
         path = write_config(tmp_path, line + "\n")
         with pytest.raises(ConfigError, match=match):
             load_config(path)
+
+    def test_stock_description(self):
+        # the "resolved config:" log line of a stock run, key for key
+        assert default_config().describe() == (
+            "bs_density=5e-05 path_loss_exponent=4 tx_power=1 "
+            "noise_power=1e-05 channel_variance=1 num_fas=4 ports_per_fa=15 "
+            "skipped_ports=1 aperture_wavelengths=0.2 wavelength=0.06 "
+            "charge=0.07 viscosity=0.002 thickness_to_length=0.2 "
+            "voltage_delta=10 coherence_bandwidth=1e+08 coherence_time=0.05 "
+            "estimation_fraction=0.16 rate=1 target_variance=0.5 "
+            "trials=20000 seed=1 chunk_size=2048 faithful_pilots=0"
+        )
 
 
 # =====================================================================
@@ -363,3 +376,35 @@ class TestMain:
             math.sqrt(p * (1.0 - p) / 512.0),
             rtol=1e-9,
         )
+
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (["--trials", "0"], "num_trials"),
+            (["--seed", "-1"], "seed"),
+        ],
+    )
+    def test_bad_plan_override_is_a_config_error(
+        self, tmp_path, caplog, flags, match
+    ):
+        out = tmp_path / "rows.csv"
+        code = main([
+            "--sweep", "tx-power=1.0:1.0:1", "--engines", "monte-carlo",
+            "--out", str(out),
+        ] + flags)
+        assert code == 2
+        assert not out.exists()
+        assert match in caplog.text
+
+    def test_bad_worker_count_fails_before_any_point(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        monkeypatch.setenv(WORKERS_ENV, "abc")
+        out = tmp_path / "rows.csv"
+        code = main([
+            "--sweep", "tx-power=1.0:2.0:2", "--engines", "analytic",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        assert f"{WORKERS_ENV} must be an integer, got 'abc'" in caplog.text

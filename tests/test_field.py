@@ -1,22 +1,19 @@
 """Tests for the transmitter field and interference surrogate."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from fluidcell.field import (
-    TAIL_FRACTION,
-    InterferenceModel,
     NetworkConfig,
-    default_outer_radius,
     gamma_interference_model,
     mean_interference,
-    sample_gamma_interference,
-    sample_interferers,
     sample_serving_distance,
 )
+from oracles import sample_annulus
 
 
 # =====================================================================
@@ -30,13 +27,16 @@ class TestNetworkConfig:
         assert net.transmit_snr == net.channel_variance * net.tx_power / net.noise_power
         assert net.transmit_snr == pytest.approx(1e5, rel=1e-12)
 
-    def test_explicit_consistent_snr_accepted(self):
-        net = NetworkConfig(tx_power=2.0, transmit_snr=2e5)
+    def test_replace_rederives_transmit_snr(self):
+        net = replace(NetworkConfig(), tx_power=2.0)
         assert net.transmit_snr == pytest.approx(2e5, rel=1e-12)
 
     def test_inconsistent_snr_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
+        # the SNR is derived, so no SNR can disagree with the fields
+        with pytest.raises(TypeError, match="transmit_snr"):
             NetworkConfig(tx_power=2.0, transmit_snr=1e5)
+        with pytest.raises(TypeError, match="transmit_snr"):
+            replace(NetworkConfig(), transmit_snr=1e5)
 
     def test_path_loss_at_two_diverges(self):
         # the planar field's mean interference is infinite at a <= 2
@@ -101,38 +101,15 @@ class TestServingDistance:
 
 
 # =====================================================================
-# simulation radius and the truncation rule
+# the exact annulus sampler of the test oracles
 # =====================================================================
-
-
-class TestDefaultOuterRadius:
-    def test_density_floor_dominates_for_small_exclusion(self):
-        lam = 5e-5
-        r = default_outer_radius(lam, 10.0, 4.0)
-        np.testing.assert_allclose(r, 50.0 / math.sqrt(math.pi * lam), rtol=1e-12)
-
-    def test_tail_rule_dominates_for_large_exclusion(self):
-        # at a = 4 the rule needs R >= 100 r0
-        r = default_outer_radius(5e-5, 100.0, 4.0)
-        np.testing.assert_allclose(r, 1e4, rtol=1e-12)
-
-    def test_tail_rule_bound_holds(self):
-        for lam, r0, a in [(5e-5, 10.0, 4.0), (1e-3, 5.0, 3.0), (5e-5, 200.0, 3.5)]:
-            r = default_outer_radius(lam, r0, a)
-            assert (r / r0) ** (2.0 - a) <= TAIL_FRACTION * (1.0 + 1e-12)
-
-    def test_shallower_exponent_needs_wider_field(self):
-        # slower decay pushes the truncation radius out
-        r4 = default_outer_radius(5e-5, 100.0, 4.0)
-        r3 = default_outer_radius(5e-5, 100.0, 3.0)
-        assert r3 > r4
 
 
 class TestSampleInterferers:
     def test_support_is_annular(self):
         rng = np.random.default_rng(42)
-        r = sample_interferers(rng, 5e-5, 50.0)
-        outer = default_outer_radius(5e-5, 50.0, 4.0)
+        outer = 100.0 * 50.0
+        r = sample_annulus(rng, 5e-5, 50.0, outer)
         assert r.ndim == 1
         assert np.all(r > 50.0)
         assert np.all(r <= outer)
@@ -140,10 +117,10 @@ class TestSampleInterferers:
     def test_count_is_poisson_with_annulus_intensity(self):
         rng = np.random.default_rng(42)
         lam, r0 = 5e-5, 50.0
-        outer = default_outer_radius(lam, r0, 4.0)
+        outer = 100.0 * r0
         expected = lam * math.pi * (outer**2 - r0**2)
         total = sum(
-            sample_interferers(rng, lam, r0).size for _ in range(200)
+            sample_annulus(rng, lam, r0, outer).size for _ in range(200)
         )
         se = math.sqrt(200.0 * expected)
         assert abs(total - 200.0 * expected) < 3.0 * se
@@ -152,33 +129,29 @@ class TestSampleInterferers:
         # E[sum r^-a] over the annulus: pi lam (r0^-2 - R^-2) at a = 4
         rng = np.random.default_rng(42)
         lam, r0 = 1e-4, 40.0
-        outer = default_outer_radius(lam, r0, 4.0)
+        outer = 100.0 * r0
         expected = math.pi * lam * (r0**-2 - outer**-2)
         sums = np.array(
-            [np.sum(sample_interferers(rng, lam, r0) ** -4.0) for _ in range(600)]
+            [np.sum(sample_annulus(rng, lam, r0, outer) ** -4.0)
+             for _ in range(600)]
         )
         se = np.std(sums) / math.sqrt(sums.size)
         assert abs(np.mean(sums) - expected) < 3.0 * se
-        # the truncated mean sits within the tail budget of the full one
+        # the truncated mean leaves (r0 / outer)^2 = 1e-4 of the full one
         net = NetworkConfig(bs_density=lam)
         assert abs(expected - mean_interference(r0, net)) <= (
-            TAIL_FRACTION * mean_interference(r0, net) * (1.0 + 1e-9)
+            1e-4 * mean_interference(r0, net) * (1.0 + 1e-9)
         )
-
-    def test_rejects_leaky_outer_radius(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="mean\\s+interference|interference"):
-            sample_interferers(rng, 5e-5, 50.0, outer_radius=1000.0)
 
     def test_rejects_inverted_annulus(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="exceed"):
-            sample_interferers(rng, 5e-5, 50.0, outer_radius=40.0)
+            sample_annulus(rng, 5e-5, 50.0, 40.0)
 
     def test_rejects_nonpositive_exclusion(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_interferers(rng, 5e-5, 0.0)
+            sample_annulus(rng, 5e-5, 0.0, 100.0)
 
 
 # =====================================================================
@@ -249,21 +222,11 @@ class TestGammaModel:
         model = gamma_interference_model(70.0, NetworkConfig())
         assert model.shape < 1e-10
 
-    def test_sampler_matches_hand_built_exponential(self):
-        rng = np.random.default_rng(42)
-        model = InterferenceModel(
-            shape=1.0, scale=0.5, mean=0.5, variance=0.25, exclusion_radius=1.0
-        )
-        draws = sample_gamma_interference(rng, model, size=200_000)
-        se = math.sqrt(model.variance / draws.size)
-        assert abs(np.mean(draws) - model.mean) < 4.0 * se
-        np.testing.assert_allclose(np.var(draws), model.variance, rtol=2e-2)
-
     def test_sampler_moments_track_degenerate_model(self):
         # shape << 1: almost every draw is exactly zero yet the mean holds
         rng = np.random.default_rng(42)
         model = gamma_interference_model(70.0, NetworkConfig(bs_density=5e-3))
-        draws = sample_gamma_interference(rng, model, size=400_000)
+        draws = rng.gamma(model.shape, model.scale, size=400_000)
         zero_fraction = np.mean(draws == 0.0)
         assert zero_fraction > 0.5
         se = math.sqrt(model.variance / draws.size)

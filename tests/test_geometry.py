@@ -122,7 +122,6 @@ class TestFrameBudget:
         assert stock_budget.estimation_uses == 800_000
         assert stock_budget.data_uses == 4_200_000
         assert stock_budget.trained_count == 8
-        assert stock_budget.trained_ports == (1, 3, 5, 7, 9, 11, 13, 15)
 
     def test_stock_switching_and_pilot(self, stock_budget, stock_cfg,
                                         stock_fluid):

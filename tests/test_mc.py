@@ -14,7 +14,7 @@ from fluidcell.mc import (
     TrialPlan,
     estimate_lmmse_mse,
     estimate_outage,
-    run_trial,
+    worker_count,
 )
 from fluidcell.outage import sinr_threshold
 
@@ -30,54 +30,31 @@ class TestTrialPlan:
             TrialPlan(num_trials=0)
         with pytest.raises(ValueError):
             TrialPlan(num_trials=10, chunk_size=0)
-        with pytest.raises(ValueError):
-            TrialPlan(num_trials=10, outer_radius=0.0)
+        with pytest.raises(ValueError, match="seed"):
+            TrialPlan(num_trials=10, seed=-1)
 
     def test_defaults(self):
         plan = TrialPlan(num_trials=10)
+        assert plan.seed == 0
         assert plan.chunk_size == 1024
         assert not plan.faithful_pilots
-        assert not plan.shared_candidate_fades
-        assert not plan.realized_error_sinr
 
 
-# =====================================================================
-# single trial
-# =====================================================================
+class TestWorkerCount:
+    def test_argument_then_environment_then_default(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        assert worker_count() == 1
+        assert worker_count(default=6) == 6
+        monkeypatch.setenv(WORKERS_ENV, " 3 ")
+        assert worker_count(default=6) == 3
+        assert worker_count(2) == 2
+        monkeypatch.setenv(WORKERS_ENV, "0")
+        assert worker_count() == 1
 
-
-class TestRunTrial:
-    def test_outcome_fields(self, desk_cfg, stock_net, desk_budget):
-        target = sinr_threshold(1.0, desk_budget)
-        plan = TrialPlan(num_trials=1, seed=7)
-        rng = np.random.default_rng(42)
-        out = run_trial(rng, desk_cfg, stock_net, desk_budget, target, plan)
-        assert out.serving_distance > 0.0
-        assert len(out.candidate_ports) == desk_cfg.num_fas
-        assert set(out.candidate_ports) <= set(desk_budget.trained_ports)
-        assert out.winning_sinr > 0.0
-        assert out.outage == (out.winning_sinr < target.threshold)
-        assert out.estimation_errors.shape == (
-            desk_cfg.num_fas, desk_budget.trained_count,
-        )
-        assert np.iscomplexobj(out.estimation_errors)
-
-    def test_deterministic_under_a_fixed_stream(
-        self, desk_cfg, stock_net, desk_budget
-    ):
-        target = sinr_threshold(1.0, desk_budget)
-        plan = TrialPlan(num_trials=1)
-        a = run_trial(
-            np.random.default_rng(3), desk_cfg, stock_net, desk_budget,
-            target, plan,
-        )
-        b = run_trial(
-            np.random.default_rng(3), desk_cfg, stock_net, desk_budget,
-            target, plan,
-        )
-        assert a.serving_distance == b.serving_distance
-        assert a.winning_sinr == b.winning_sinr
-        assert a.candidate_ports == b.candidate_ports
+    def test_non_integer_environment_is_a_clear_error(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "abc")
+        with pytest.raises(ValueError, match=f"{WORKERS_ENV}.*'abc'"):
+            worker_count()
 
 
 # =====================================================================
@@ -171,25 +148,13 @@ class TestEstimateOutage:
         )
         assert abs(fast - faithful) < 5.0 * math.hypot(fast_se, faithful_se)
 
-    def test_model_switches_run(self, desk_cfg, stock_net, desk_budget):
-        target = sinr_threshold(1.0, desk_budget)
-        for plan in (
-            TrialPlan(num_trials=512, seed=8, shared_candidate_fades=True),
-            TrialPlan(num_trials=512, seed=8, realized_error_sinr=True),
-            TrialPlan(num_trials=512, seed=8, outer_radius=1e4),
-        ):
-            p, _ = estimate_outage(
-                plan, desk_cfg, stock_net, desk_budget, target
-            )
-            assert 0.0 <= p <= 1.0
-
     @pytest.mark.parametrize("exponent", [3.0, 2.5])
     def test_low_path_loss_exponent_runs_in_bounded_memory(
         self, stock_cfg, stock_budget, stock_target, exponent
     ):
-        # truncating the field at TAIL_FRACTION of the mean would need
-        # ~2e11 points per chunk at a = 3; the exact near field does not
-        # grow with the exponent
+        # truncating the field at 1e-4 of the mean would need ~2e11
+        # points per chunk at a = 3; the exact near field does not grow
+        # with the exponent
         net = NetworkConfig(path_loss_exponent=exponent)
         plan = TrialPlan(num_trials=2048, seed=3, chunk_size=2048)
         tracemalloc.start()

@@ -18,7 +18,6 @@ from fluidcell import (
     bessel_i0e,
     bessel_j0,
     erf,
-    gamma_pdf,
     integrate_finite,
     integrate_finite_with_error,
     marcum_q1,
@@ -402,35 +401,3 @@ class TestIntegrateFiniteBatch:
             integrate_finite(f, np.array([0.0, np.nan]), 1.0)
         with pytest.raises(ValueError, match="1-D"):
             integrate_finite(f, np.zeros((2, 2)), 1.0)
-
-
-class TestGammaPdf:
-    def test_shape_one_is_exponential(self):
-        x = np.linspace(0.01, 8.0, 200)
-        np.testing.assert_allclose(gamma_pdf(x, 1.0, 2.0),
-                                   np.exp(-x / 2.0) / 2.0, rtol=1e-12)
-
-    def test_mode_location(self):
-        shape, scale = 3.5, 0.7
-        mode = (shape - 1.0) * scale
-        x = np.linspace(mode - 0.05, mode + 0.05, 201)
-        pdf = gamma_pdf(x, shape, scale)
-        assert np.argmax(pdf) == 100
-
-    def test_log_space_survives_extreme_shape(self):
-        # naive Gamma(shape)^-1 overflows near shape ~ 170
-        val = gamma_pdf(9.99e3, 1e4, 1.0)
-        assert np.isfinite(val) and val > 0.0
-
-    def test_normalizes(self):
-        mass, _ = integrate.quad(lambda x: gamma_pdf(x, 2.3, 1.7),
-                                 0.0, np.inf)
-        np.testing.assert_allclose(mass, 1.0, rtol=1e-9)
-
-    def test_rejects_off_support_arguments(self):
-        with pytest.raises(ValueError):
-            gamma_pdf(-1.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_pdf(0.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_pdf(1.0, 0.0, 1.0)

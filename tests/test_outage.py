@@ -215,8 +215,7 @@ class TestConditionalOutage:
         )
         np.testing.assert_allclose(
             conditional_outage(
-                rho, inter, desk_cfg, stock_net, desk_budget, target,
-                profile=profile,
+                rho, inter, desk_cfg, stock_net, desk_budget, target
             ),
             joint_outage_given_thresholds(thetas, profile),
             rtol=1e-12,
@@ -309,20 +308,6 @@ class TestConditionalOutageBounds:
         )
         np.testing.assert_allclose(lower, expected, rtol=1e-12)
         np.testing.assert_allclose(upper, expected, rtol=1e-12)
-
-    def test_printed_extra_term_only_lowers_the_upper_bound(
-        self, desk_cfg, stock_net, desk_budget
-    ):
-        target = sinr_threshold(1.0, desk_budget)
-        base = conditional_outage_bounds(
-            70.0, 4.6e-8, 0.6, desk_cfg, stock_net, desk_budget, target
-        )
-        extra = conditional_outage_bounds(
-            70.0, 4.6e-8, 0.6, desk_cfg, stock_net, desk_budget, target,
-            printed_extra_term=True,
-        )
-        assert extra[1] <= base[1]
-        assert extra[0] == base[0]
 
     def test_validation(self, desk_cfg, stock_net, desk_budget):
         target = sinr_threshold(1.0, desk_budget)
