@@ -186,13 +186,19 @@ def correlation_profile(cfg, net, budget, rho):
 # Marcum Q call stays below ~330k elements (tens of MB of temporaries)
 # however many rows and ports a batch has.
 _GROUP_PAIRS = 2**13
+# beta - alpha past which 1 - Q1(alpha, beta) is exactly 1.0. Q1(a, b)
+# is P(|a + X| > b) for a 2-D standard normal X, so by the triangle
+# inequality Q1 <= P(|X| > b - a) = exp(-(b - a)^2 / 2) for b >= a:
+# below exp(-40.5) ~ 2.6e-18 here, far under the 2^-54 that 1.0 - q
+# needs to round back to 1.0.
+_NEGLIGIBLE_Q1_GAP = 9.0
 
 
 def _conditional_rician_integrals(mu, taus, spread, limits, spec):
     """Integral over the first port of the other ports' Rician cdfs.
 
     One lockstep batch over the threshold rows, one ``marcum_q1`` call
-    per refinement round.
+    per refinement round, on the nodes where Q1 can change 1 - Q1.
     """
     ratio = spread[:, :1] / spread[:, 1:]
     # port-major (J - 1, B) layouts, gathered by row at each round
@@ -203,8 +209,11 @@ def _conditional_rician_integrals(mu, taus, spread, limits, spec):
 
     def integrand(t, rows):
         alphas = np.sqrt(coeff[:, rows] * t)
-        q = marcum_q1(alphas, betas[:, rows])
-        return np.exp(-t) * np.prod(1.0 - q, axis=0)
+        round_betas = betas[:, rows]
+        cdfs = np.ones(alphas.shape)
+        live = round_betas - alphas <= _NEGLIGIBLE_Q1_GAP
+        cdfs[live] = 1.0 - marcum_q1(alphas[live], round_betas[live])
+        return np.exp(-t) * np.prod(cdfs, axis=0)
 
     return integrate_finite(
         integrand, np.zeros(len(limits)),

@@ -9,7 +9,9 @@ grid value with the fixed column set::
 
 Cells of engines that were not requested stay empty; a cell whose
 engine raised is written as ``error`` and the process exits nonzero
-after finishing the remaining grid points. For ``target-variance``
+after finishing the remaining grid points. A grid value outside its
+parameter's domain (say a nonpositive density) is a config error
+instead: exit code 2 before any point runs. For ``target-variance``
 sweeps the analytic column carries the minimum skip count that meets
 the target error variance at the typical serving distance
 1/sqrt(pi*density) (evaluated at the first port), not an outage.
@@ -322,6 +324,11 @@ def _apply_sweep_value(base, parameter, value):
     if parameter == "bs-density":
         return replace(base, network=replace(base.network, bs_density=value))
     if parameter == "target-variance":
+        if not 0.0 < value < base.network.channel_variance:
+            raise ValueError(
+                "target_variance must lie strictly between 0 and "
+                "channel_variance"
+            )
         return replace(base, target_variance=value)
     raise ConfigError(f"unknown sweep parameter {parameter!r}")
 
@@ -440,12 +447,21 @@ def _compute_point(index, value, spec, base, printed_forms, mode):
 def run_sweep(spec, base, printed_forms=False, mode="both"):
     """Evaluate every grid point; returns (rows, failure messages).
 
+    Raises :class:`ConfigError` before any point runs when a grid value
+    lies outside its parameter's domain; a frame that cannot fit at a
+    valid value is a failure of that point only.
+
     Grid points run on a worker pool but rows come back in grid order,
     and each Monte Carlo point owns a stream keyed by its grid index,
     so the output is identical for any worker count.
     """
     if mode not in ("both", "common-gamma", "per-port-gamma"):
         raise ConfigError(f"unknown analytic mode {mode!r}")
+    for value in spec.grid:
+        try:
+            _apply_sweep_value(base, spec.parameter, value)
+        except ValueError as exc:
+            raise ConfigError(f"{spec.parameter}={value:g}: {exc}") from exc
 
     def point(args):
         return _compute_point(args[0], args[1], spec, base,

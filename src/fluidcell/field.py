@@ -81,10 +81,15 @@ def mean_interference(exclusion_radius, net):
     """
     if np.any(np.asarray(exclusion_radius) <= 0.0):
         raise ValueError("exclusion_radius must be positive")
-    a = net.path_loss_exponent
+    return _campbell_mean(exclusion_radius ** (2.0 - net.path_loss_exponent),
+                          net)
+
+
+def _campbell_mean(decay, net):
+    """Campbell mean from ``decay`` = radius^(2 - a), elementwise."""
     return (
         2.0 * math.pi * net.bs_density * net.channel_variance
-        * exclusion_radius ** (2.0 - a) / (a - 2.0)
+        * decay / (net.path_loss_exponent - 2.0)
     )
 
 
@@ -95,13 +100,29 @@ def gamma_interference_model(exclusion_radius, net):
     adopted second moment 2 * variance^2 of a single faded term; the
     resulting shape is typically far below one, concentrating nearly all
     probability mass at zero with a thin far tail.
+
+    A 1-D array of radii gives one model whose ``shape``, ``scale`` and
+    ``mean`` are arrays, entry k equal to the call on radius k bit for
+    bit.
     """
-    mean = mean_interference(exclusion_radius, net)
+    radii = np.asarray(exclusion_radius, dtype=float)
+    if np.any(radii <= 0.0):
+        raise ValueError("exclusion_radius must be positive")
     a = net.path_loss_exponent
     lam = net.bs_density
-    r = exclusion_radius
-    shape = 2.0 * (math.pi * lam * r ** (2.0 - a) / (a - 2.0)) ** 2
-    scale = net.channel_variance * (a - 2.0) / (math.pi * lam * r ** (2.0 - a))
+    # Python floats per radius: numpy's vector ** rounds differently from
+    # libm's pow, and a radius must get one model alone or batched
+    decays = [r ** (2.0 - a) for r in radii.reshape(-1).tolist()]
+    shape = [2.0 * (math.pi * lam * d / (a - 2.0)) ** 2 for d in decays]
+    scale = [
+        net.channel_variance * (a - 2.0) / (math.pi * lam * d)
+        for d in decays
+    ]
+    mean = _campbell_mean(np.array(decays), net)
+    if radii.ndim == 0:
+        shape, scale, mean = shape[0], scale[0], float(mean[0])
+    else:
+        shape, scale = np.array(shape), np.array(scale)
     variance = 2.0 * net.channel_variance**2
     return InterferenceModel(
         shape=shape,
@@ -110,4 +131,3 @@ def gamma_interference_model(exclusion_radius, net):
         variance=variance,
         exclusion_radius=exclusion_radius,
     )
-

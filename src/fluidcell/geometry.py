@@ -128,9 +128,12 @@ def link_distances(ports, rho, cfg):
     batch agrees with the scalar calls bit for bit.
     """
     rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0.0):
+        raise ValueError("serving distance must be positive")
+    shifts = [port_displacement(p, cfg) for p in ports]
     distinct, inverse = np.unique(rho, return_inverse=True)
     table = np.array([
-        [link_distance(p, r, cfg) for p in ports] for r in distinct.tolist()
+        [math.hypot(r, d) for d in shifts] for r in distinct.tolist()
     ])
     return table[inverse.reshape(-1)].reshape(rho.shape + (len(ports),))
 

@@ -27,7 +27,7 @@ from .channel import (
     joint_magnitude_cdf,
 )
 from .field import gamma_interference_model
-from .geometry import link_distance, link_distances, trained_port_indices
+from .geometry import link_distances, trained_port_indices
 from .numerics import QuadratureSpec, integrate_finite
 
 __all__ = [
@@ -205,24 +205,23 @@ def _gamma_quantile(shape, scale, v):
     return scale * x
 
 
-def _averaged_over_interference(outage_at, models, keys, spec):
+def _averaged_over_interference(outage_at, model, keys, spec):
     """E[outage(gamma)] under each row's Gamma surrogate, as one batch.
 
     Integrating in probability space through the quantile map handles
     the near-degenerate shapes (essentially all mass at zero, a
     vanishing far tail) that defeat a direct gamma-space quadrature.
-    Rows with equal ``keys`` share one conditional outage, so each
-    round calls ``outage_at(rows, gammas)`` on its distinct (key, gamma)
-    pairs only, once per ``_PAIRS_PER_CALL`` of them.
+    ``model`` holds one surrogate per row, as arrays. Rows with equal
+    ``keys`` share one conditional outage, so each round calls
+    ``outage_at(rows, gammas)`` on its distinct (key, gamma) pairs
+    only, once per ``_PAIRS_PER_CALL`` of them.
     """
-    shape = np.array([m.shape for m in models])
-    scale = np.array([m.scale for m in models])
 
     def integrand(v, rows):
-        gammas = _gamma_quantile(shape[rows], scale[rows], v)
+        gammas = _gamma_quantile(model.shape[rows], model.scale[rows], v)
+        # one complex number per pair: a 1-D dedupe, exact on both parts
         _, first, inverse = np.unique(
-            np.column_stack((keys[rows], gammas)), axis=0,
-            return_index=True, return_inverse=True,
+            gammas + 1j * keys[rows], return_index=True, return_inverse=True
         )
         parts = np.split(
             first, range(_PAIRS_PER_CALL, len(first), _PAIRS_PER_CALL)
@@ -232,7 +231,7 @@ def _averaged_over_interference(outage_at, models, keys, spec):
         ])
         return values[inverse.reshape(-1)]
 
-    count = len(models)
+    count = len(keys)
     return integrate_finite(integrand, np.zeros(count), np.ones(count), spec)
 
 
@@ -241,35 +240,31 @@ def _distance_averaged(conditional, tags, anchor, net, spec):
 
     One integral per entry of ``tags``, all run as one batch. Row k
     weighs, at each serving distance rho, the conditional outage
-    averaged over the Gamma surrogate anchored at ``anchor(k, rho)``,
-    by the nearest-transmitter density of rho. ``conditional(tags,
-    rhos, gammas)`` gives the conditional outage elementwise; each
-    round passes it every distinct (tag, rho, gamma) once.
+    averaged over the Gamma surrogate anchored at radius anchor(k, rho),
+    by the nearest-transmitter density of rho; ``anchor(rows, rhos)``
+    gives those radii elementwise over a round's nodes.
+    ``conditional(tags, rhos, gammas)`` gives the conditional outage
+    elementwise; each round passes it every distinct (tag, rho, gamma)
+    once.
     """
     lam = net.bs_density
     rho_cut = math.sqrt(math.log(1.0 / DISTANCE_TAIL) / (math.pi * lam))
     tags = np.asarray(tags)
 
     def integrand(rhos, rows):
-        rho_list = rhos.tolist()
-        models = [
-            gamma_interference_model(anchor(k, rho), net)
-            for k, rho in zip(rows.tolist(), rho_list)
-        ]
+        model = gamma_interference_model(anchor(rows, rhos), net)
         round_tags = tags[rows]
-        _, keys = np.unique(
-            np.column_stack((round_tags, rhos)), axis=0, return_inverse=True
-        )
+        _, keys = np.unique(rhos + 1j * round_tags, return_inverse=True)
 
         def outage_at(index, gammas):
             return conditional(round_tags[index], rhos[index], gammas)
 
         averaged = _averaged_over_interference(
-            outage_at, models, keys.reshape(-1), spec
+            outage_at, model, keys.reshape(-1), spec
         )
         density = np.array([
             2.0 * math.pi * lam * rho * math.exp(-math.pi * lam * rho**2)
-            for rho in rho_list
+            for rho in rhos.tolist()
         ])
         return averaged * density
 
@@ -305,14 +300,17 @@ def outage_probability(cfg, net, budget, target, spec=None,
 
     if mode == "common-gamma":
         single = _distance_averaged(
-            conditional, [0], lambda k, rho: rho, net, spec
+            conditional, [0], lambda rows, rhos: rhos, net, spec
         )
         return min(1.0, float(single[0])) ** cfg.num_fas
 
     ports = trained_port_indices(cfg)
     per_port = _distance_averaged(
         conditional, [0] * len(ports),
-        lambda k, rho: link_distance(ports[k], rho, cfg), net, spec,
+        lambda rows, rhos: link_distances(ports, rhos, cfg)[
+            np.arange(rows.size), rows
+        ],
+        net, spec,
     )
     product = 1.0
     for value in per_port.tolist():
@@ -344,6 +342,6 @@ def averaged_outage_bounds(mu_common, cfg, net, budget, target, spec=None):
         ])
 
     lower, upper = _distance_averaged(
-        conditional, [0, 1], lambda k, rho: rho, net, spec
+        conditional, [0, 1], lambda rows, rhos: rhos, net, spec
     ).tolist()
     return min(1.0, lower) ** cfg.num_fas, min(1.0, upper) ** cfg.num_fas

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,6 +263,17 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="mode"):
             run_sweep(spec, base, mode="exact")
 
+    def test_target_variance_domain_follows_the_channel_variance(self):
+        base = default_config()
+        spec = SweepSpec(parameter="target-variance", grid=(0.5, 1.5))
+        with pytest.raises(ConfigError, match="target-variance=1.5"):
+            run_sweep(spec, base)
+        wide = replace(base, network=replace(base.network,
+                                             channel_variance=2.0))
+        rows, failures = run_sweep(spec, wide)
+        assert not failures
+        assert len(rows) == 2
+
 
 class TestMain:
     def test_full_run_writes_csv(self, tmp_path):
@@ -327,6 +339,32 @@ class TestMain:
         rows = read_rows(out)
         assert float(rows[0]["outage_analytic_common"]) > 0.0
         assert rows[1]["outage_analytic_common"] == "error"
+
+    @pytest.mark.parametrize("sweep, match", [
+        ("bs-density=0:1e-4:2", "bs-density=0: bs_density must be positive"),
+        ("tx-power=-1:1:2", "tx-power=-1: tx_power and noise_power"),
+        ("target-variance=0:0.5:2", "target-variance=0: target_variance"),
+        ("target-variance=0.5:1:2", "target-variance=1: target_variance"),
+    ])
+    def test_grid_value_off_its_domain_fails_before_any_point(
+        self, tmp_path, caplog, monkeypatch, sweep, match
+    ):
+        points = []
+        monkeypatch.setattr(
+            "fluidcell.cli._compute_point",
+            lambda *args: points.append(args),
+        )
+        out = tmp_path / "rows.csv"
+        code = main([
+            "--sweep", sweep, "--engines", "analytic", "--out", str(out),
+        ])
+        assert code == 2
+        assert not points
+        assert not out.exists()
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert match in errors[0]
 
     def test_stdout_output(self, capsys):
         code = main([

@@ -216,6 +216,26 @@ class TestGammaModel:
         )
         assert model.exclusion_radius == 90.0
 
+    @pytest.mark.parametrize("exponent", [4.0, 3.5, 2.7])
+    def test_array_of_radii_equals_scalar_calls(self, exponent):
+        # bit for bit: numpy's vector ** differs from libm's pow in the
+        # last bit for some radii, which a batch must not inherit
+        net = NetworkConfig(bs_density=3e-4, path_loss_exponent=exponent,
+                            channel_variance=1.3)
+        radii = np.random.default_rng(4).uniform(1.0, 400.0, 500)
+        batch = gamma_interference_model(radii, net)
+        singles = [gamma_interference_model(r, net) for r in radii.tolist()]
+        for field in ("shape", "scale", "mean", "exclusion_radius"):
+            assert getattr(batch, field).tolist() == [
+                getattr(m, field) for m in singles
+            ]
+        assert batch.variance == singles[0].variance
+        assert [m.mean for m in singles] == [
+            mean_interference(r, net) for r in radii.tolist()
+        ]
+        with pytest.raises(ValueError):
+            gamma_interference_model(np.array([50.0, 0.0]), net)
+
     def test_shape_is_degenerate_at_stock_geometry(self):
         # matching mean and a fade-scale variance leaves the shape tiny:
         # nearly all mass at zero with a thin far tail

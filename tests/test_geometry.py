@@ -16,6 +16,7 @@ from fluidcell import (
     switching_delay,
     trained_port_indices,
 )
+from fluidcell.geometry import link_distances
 
 from conftest import COHERENCE_BANDWIDTH, COHERENCE_TIME, ESTIMATION_FRACTION
 
@@ -55,6 +56,22 @@ class TestPortLayout:
     def test_link_distance_needs_positive_range(self, stock_cfg):
         with pytest.raises(ValueError):
             link_distance(1, 0.0, stock_cfg)
+
+    def test_link_distances_equal_scalar_calls(self, stock_cfg):
+        ports = trained_port_indices(stock_cfg)
+        rho = np.random.default_rng(6).uniform(0.5, 500.0, (30, 2))
+        rho[3, 1] = rho[0, 0]  # repeated distances share one table row
+        table = link_distances(ports, rho, stock_cfg)
+        assert table.shape == (30, 2, len(ports))
+        for index in np.ndindex(rho.shape):
+            assert table[index].tolist() == [
+                link_distance(p, float(rho[index]), stock_cfg) for p in ports
+            ]
+        assert link_distances(ports, 40.0, stock_cfg).tolist() == [
+            link_distance(p, 40.0, stock_cfg) for p in ports
+        ]
+        with pytest.raises(ValueError):
+            link_distances(ports, np.array([4.0, 0.0]), stock_cfg)
 
 
 class TestFluidMotion:

@@ -22,6 +22,7 @@ from fluidcell import (
     integrate_finite_with_error,
     marcum_q1,
 )
+from fluidcell.channel import _NEGLIGIBLE_Q1_GAP
 from oracles import (
     erf_quadrature,
     i0_series,
@@ -209,6 +210,43 @@ class TestMarcumQ1PrecisionContract:
             except ConvergenceError:
                 continue
             assert 0.0 <= q <= 1.0
+
+
+class TestMarcumQ1GapBound:
+    """Q1(a, b) <= exp(-(b - a)^2 / 2) for b >= a, and the cut-off past
+    which the joint port cdf skips Q1 because 1 - Q1 is exactly 1.0."""
+
+    def test_bound_holds_against_the_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        # Q1(0, b) = exp(-b^2/2) meets the bound with equality, so the
+        # 40-digit oracle gets a relative slack far below double precision
+        for a in (0.0, 0.3, 2.0, 7.5, 20.0, 40.0):
+            for gap in (0.0, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 9.0, 10.0, 12.0):
+                b = a + gap
+                with mpmath.workdps(40):
+                    bound = mpmath.exp(-mpmath.mpf(gap) ** 2 / 2)
+                    exact = marcum_q1_mpmath(a, b)
+                    assert exact <= bound * (1 + 1e-30)
+                if gap > _NEGLIGIBLE_Q1_GAP:
+                    assert exact < 2.0**-54
+
+    def test_complement_is_exactly_one_past_the_cut_off(self):
+        # the bound puts Q1 below exp(-40.5) ~ 2.6e-18 here; the computed
+        # value must also stay under 2^-54, where 1.0 - q rounds to 1.0.
+        # Most pairs sit at a <= 40, where the joint cdf evaluates Q1;
+        # the rest spread to a = 2,000 (chndtr slows with a, about
+        # 0.16 ms per value there).
+        rng = np.random.default_rng(2024)
+        cut = np.nextafter(_NEGLIGIBLE_Q1_GAP, np.inf)
+        a = np.concatenate([
+            rng.uniform(0.0, 40.0, 990_000),
+            np.geomspace(40.0, 2000.0, 10_000),
+        ])
+        b = a + cut + rng.exponential(1.0, a.size)
+        assert np.all(b - a > _NEGLIGIBLE_Q1_GAP)
+        q = marcum_q1(a, b)
+        assert q.max() < 2.0**-54
+        assert np.all(1.0 - q == 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fluidcell.channel import correlation_profile, error_variance_at
-from fluidcell.field import NetworkConfig
+from fluidcell.channel import (
+    correlation_profile,
+    error_variance_at,
+    joint_magnitude_cdf,
+)
+from fluidcell.field import NetworkConfig, mean_interference
 from fluidcell.geometry import (
     FaArrayConfig,
     FluidParams,
@@ -42,6 +46,19 @@ def single_port_setup():
         ESTIMATION_FRACTION,
     )
     return cfg, budget
+
+
+def _count_marcum_values(monkeypatch):
+    """List that collects the number of values each Marcum Q call of the
+    joint port cdf receives."""
+    evals = []
+
+    def counted(alpha, beta):
+        evals.append(np.size(alpha))
+        return marcum_q1(alpha, beta)
+
+    monkeypatch.setattr("fluidcell.channel.marcum_q1", counted)
+    return evals
 
 
 # =====================================================================
@@ -418,6 +435,18 @@ class TestOutageProbability:
         assert len(calls) <= 234
         assert got == 0.15093386624370483
 
+    def test_marcum_evaluation_count_guard(
+        self, stock_cfg, stock_budget, stock_target, monkeypatch
+    ):
+        # stock array at 40 dBm: 72,310 (port, node) pairs reached
+        # marcum_q1 when every one was evaluated; skipping those past the
+        # cut-off, where 1 - Q1 is exactly 1.0, leaves about 25.6k
+        evals = _count_marcum_values(monkeypatch)
+        net = NetworkConfig(tx_power=10.0)
+        got = outage_probability(stock_cfg, net, stock_budget, stock_target)
+        assert sum(evals) <= 36_000
+        assert abs(got - 0.479437508978) <= 1e-9
+
     def test_pair_chunks_leave_the_value_unchanged(
         self, desk_cfg, desk_budget, monkeypatch
     ):
@@ -431,6 +460,58 @@ class TestOutageProbability:
             desk_cfg, net, desk_budget, target, spec=FAST_SPEC
         )
         assert chunked == whole
+
+
+def _with_and_without_skip(monkeypatch, run):
+    """``run()`` with the shipped Marcum Q cut-off and with none, and the
+    number of Q1 values each evaluated."""
+    evals = _count_marcum_values(monkeypatch)
+    skipping = run()
+    skipping_evals = sum(evals)
+    evals.clear()
+    monkeypatch.setattr("fluidcell.channel._NEGLIGIBLE_Q1_GAP", math.inf)
+    full = run()
+    return skipping, full, skipping_evals, sum(evals)
+
+
+@pytest.mark.parametrize("density", [5e-5, 1e-3])
+@pytest.mark.parametrize("array", ["stock", "desk"])
+class TestNegligibleMarcumSkip:
+    """Skipping Q1 where 1 - Q1 rounds to exactly 1.0 moves no bit."""
+
+    def _inputs(self, request, array, density):
+        cfg = request.getfixturevalue(f"{array}_cfg")
+        budget = request.getfixturevalue(f"{array}_budget")
+        net = NetworkConfig(bs_density=density)
+        return cfg, net, budget, sinr_threshold(1.0, budget)
+
+    def test_joint_cdf_batch_unchanged(
+        self, request, monkeypatch, array, density
+    ):
+        cfg, net, budget, target = self._inputs(request, array, density)
+        rng = np.random.default_rng(8)
+        rhos = rng.uniform(5.0, 300.0, 40)
+        gammas = mean_interference(rhos, net) * rng.exponential(1.0, 40)
+        gammas[::3] = 0.0
+        thetas = outage_thresholds(rhos, gammas, cfg, net, budget, target)
+        profile = correlation_profile(cfg, net, budget, rhos)
+        skipping, full, fewer, every = _with_and_without_skip(
+            monkeypatch, lambda: joint_magnitude_cdf(np.sqrt(thetas), profile)
+        )
+        assert fewer < every
+        assert skipping.tolist() == full.tolist()
+
+    @pytest.mark.parametrize("mode", ["common-gamma", "per-port-gamma"])
+    def test_outage_unchanged(
+        self, request, monkeypatch, array, density, mode
+    ):
+        cfg, net, budget, target = self._inputs(request, array, density)
+        skipping, full, fewer, every = _with_and_without_skip(
+            monkeypatch,
+            lambda: outage_probability(cfg, net, budget, target, mode=mode),
+        )
+        assert fewer < every
+        assert skipping == full
 
 
 class TestAveragedOutageBounds:
