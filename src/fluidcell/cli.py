@@ -11,10 +11,12 @@ Cells of engines that were not requested stay empty; a cell whose
 engine raised is written as ``error`` and the process exits nonzero
 after finishing the remaining grid points. A grid value outside its
 parameter's domain (say a nonpositive density) is a config error
-instead: exit code 2 before any point runs. For ``target-variance``
-sweeps the analytic column carries the minimum skip count that meets
-the target error variance at the typical serving distance
-1/sqrt(pi*density) (evaluated at the first port), not an outage.
+instead: exit code 2 before any point runs, as is a sweep whose Monte
+Carlo chunks, over the grid points run at once, would need more than a
+fixed memory budget. For ``target-variance`` sweeps the analytic
+column carries the minimum skip count that meets the target error
+variance at the typical serving distance 1/sqrt(pi*density) (evaluated
+at the first port), not an outage.
 """
 
 from __future__ import annotations
@@ -39,7 +41,13 @@ from .geometry import (
     build_frame_budget,
     trained_port_indices,
 )
-from .mc import TrialPlan, estimate_outage, worker_count
+from .mc import (
+    WORKERS_ENV,
+    TrialPlan,
+    chunk_bytes,
+    estimate_outage,
+    worker_count,
+)
 from .outage import averaged_outage_bounds, outage_probability, sinr_threshold
 
 __all__ = [
@@ -76,6 +84,11 @@ ENGINES = ("analytic", "bounds", "monte-carlo")
 PRESETS = ("fig3", "fig4", "fig5", "fig6", "fig7")
 
 _INTEGER_PARAMETERS = ("num-fas", "ports-per-fa")
+
+# ceiling on the Monte Carlo chunk memory of the grid points a sweep runs
+# at once; every preset needs at most ~0.8 GB even with all its points
+# running together
+_MEMORY_BUDGET = 2 * 2**30
 
 # stock values; every key can be overridden in the config file
 _DEFAULTS = {
@@ -444,12 +457,27 @@ def _compute_point(index, value, spec, base, printed_forms, mode):
     return row, failures
 
 
+def _check_memory(configs, concurrent):
+    """Refuse configs whose Monte Carlo chunks, ``concurrent`` at once,
+    would pass the memory budget."""
+    need = concurrent * max(chunk_bytes(c.plan, c.array) for c in configs)
+    if need > _MEMORY_BUDGET:
+        raise ConfigError(
+            f"Monte Carlo chunks would need about {need / 2**20:.0f} MiB "
+            f"with {concurrent} grid point(s) at once, above the "
+            f"{_MEMORY_BUDGET / 2**20:.0f} MiB budget; lower chunk_size, "
+            f"trials or ports_per_fa, or {WORKERS_ENV}"
+        )
+
+
 def run_sweep(spec, base, printed_forms=False, mode="both"):
     """Evaluate every grid point; returns (rows, failure messages).
 
     Raises :class:`ConfigError` before any point runs when a grid value
-    lies outside its parameter's domain; a frame that cannot fit at a
-    valid value is a failure of that point only.
+    lies outside its parameter's domain, or when one Monte Carlo chunk
+    of the base config or of any grid value, times the number of points
+    run at once, would pass the memory budget. A frame that cannot fit
+    at a valid value is a failure of that point only.
 
     Grid points run on a worker pool but rows come back in grid order,
     and each Monte Carlo point owns a stream keyed by its grid index,
@@ -457,17 +485,19 @@ def run_sweep(spec, base, printed_forms=False, mode="both"):
     """
     if mode not in ("both", "common-gamma", "per-port-gamma"):
         raise ConfigError(f"unknown analytic mode {mode!r}")
+    configs = [base]
     for value in spec.grid:
         try:
-            _apply_sweep_value(base, spec.parameter, value)
+            configs.append(_apply_sweep_value(base, spec.parameter, value))
         except ValueError as exc:
             raise ConfigError(f"{spec.parameter}={value:g}: {exc}") from exc
+    workers = worker_count(default=os.cpu_count() or 1)
+    _check_memory(configs, min(workers, len(spec.grid)))
 
     def point(args):
         return _compute_point(args[0], args[1], spec, base,
                               printed_forms, mode)
 
-    workers = worker_count(default=os.cpu_count() or 1)
     items = list(enumerate(spec.grid))
     if workers <= 1 or len(items) == 1:
         results = [point(item) for item in items]

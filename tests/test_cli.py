@@ -2,12 +2,17 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fluidcell
 from fluidcell.cli import (
+    _MEMORY_BUDGET,
     CSV_COLUMNS,
     ConfigError,
     SweepSpec,
@@ -18,7 +23,7 @@ from fluidcell.cli import (
     main,
     run_sweep,
 )
-from fluidcell.mc import WORKERS_ENV
+from fluidcell.mc import WORKERS_ENV, chunk_bytes
 
 
 @pytest.fixture(autouse=True)
@@ -446,3 +451,127 @@ class TestMain:
         assert code == 2
         assert not out.exists()
         assert f"{WORKERS_ENV} must be an integer, got 'abc'" in caplog.text
+
+
+# =====================================================================
+# memory guard
+# =====================================================================
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "perfbench", "configs")
+
+
+def _skip_points(monkeypatch):
+    """List of the grid points ``run_sweep`` would have computed."""
+    points = []
+
+    def record(index, value, *rest):
+        points.append(value)
+        return {column: "" for column in CSV_COLUMNS}, []
+
+    monkeypatch.setattr("fluidcell.cli._compute_point", record)
+    return points
+
+
+class TestMemoryGuard:
+    @pytest.mark.parametrize("config", [
+        "chunk_size = 1000000000\n",
+        "ports_per_fa = 1000000000\n",
+    ])
+    def test_huge_chunk_fails_before_any_point(
+        self, tmp_path, caplog, monkeypatch, config
+    ):
+        points = _skip_points(monkeypatch)
+        out = tmp_path / "rows.csv"
+        code = main([
+            "--config", write_config(tmp_path, config),
+            "--trials", "1000000000",
+            "--sweep", "tx-power=1.0:2.0:2", "--engines", "monte-carlo",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert not points
+        assert not out.exists()
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert "MiB budget" in errors[0]
+
+    def test_every_grid_value_counts(self, monkeypatch):
+        points = _skip_points(monkeypatch)
+        base = default_config()
+        spec = SweepSpec(parameter="ports-per-fa", grid=(5.0, 10**9),
+                         engines=("monte-carlo",))
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        with pytest.raises(ConfigError, match="MiB budget"):
+            run_sweep(spec, base)
+        assert not points
+
+    def test_points_run_at_once_multiply_the_chunk(self, monkeypatch):
+        points = _skip_points(monkeypatch)
+        # one chunk of this plan needs a bit over half the budget
+        base = default_config()
+        per_chunk = chunk_bytes(base.plan, base.array)
+        chunk = base.plan.chunk_size * (0.6 * _MEMORY_BUDGET) // per_chunk
+        base = replace(base, plan=replace(base.plan, num_trials=int(chunk),
+                                          chunk_size=int(chunk)))
+        two = SweepSpec(parameter="tx-power", grid=(1.0, 2.0),
+                        engines=("monte-carlo",))
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        run_sweep(two, base)
+        run_sweep(replace(two, grid=(1.0,)), base)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        run_sweep(replace(two, grid=(1.0,)), base)
+        assert len(points) == 4
+        with pytest.raises(ConfigError, match="2 grid point"):
+            run_sweep(two, base)
+        assert len(points) == 4
+
+    @pytest.mark.parametrize("config", [None, "stock.cfg", "desk.cfg"])
+    @pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5", "fig6",
+                                        "fig7"])
+    def test_presets_and_benchmark_configs_pass(
+        self, monkeypatch, config, preset
+    ):
+        # with every grid point at once, whatever the machine's core count
+        points = _skip_points(monkeypatch)
+        spec = figure_preset(preset)
+        monkeypatch.setenv(WORKERS_ENV, str(len(spec.grid)))
+        if config is None:
+            base = default_config()
+        else:
+            base = load_config(os.path.join(CONFIG_DIR, config))
+        run_sweep(spec, base)
+        assert len(points) == len(spec.grid)
+
+    def test_guard_holds_under_an_address_space_limit(self, tmp_path):
+        # without the guard the child would ask for gigabytes and fail
+        # with MemoryError here, not exhaust the machine
+        cfg = write_config(tmp_path, "chunk_size = 1000000000\n")
+        script = (
+            "import resource, sys\n"
+            "limit = 2 * 2**30\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from fluidcell.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(fluidcell.__file__))]
+            + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = "1"
+        env.pop(WORKERS_ENV, None)
+        done = subprocess.run(
+            [sys.executable, "-c", script, "--config", cfg,
+             "--trials", "1000000000", "--sweep", "tx-power=1.0:1.0:1",
+             "--engines", "monte-carlo", "--out", str(tmp_path / "rows.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "MemoryError" not in done.stderr
+        errors = [line for line in done.stderr.splitlines()
+                  if line.startswith("ERROR")]
+        assert len(errors) == 1 and "MiB budget" in errors[0]

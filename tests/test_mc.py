@@ -8,10 +8,16 @@ import pytest
 
 from fluidcell.channel import error_variance_at
 from fluidcell.field import NetworkConfig
-from fluidcell.geometry import link_distance
+from fluidcell.geometry import (
+    FaArrayConfig,
+    FluidParams,
+    build_frame_budget,
+    link_distance,
+)
 from fluidcell.mc import (
     WORKERS_ENV,
     TrialPlan,
+    chunk_bytes,
     estimate_lmmse_mse,
     estimate_outage,
     worker_count,
@@ -55,6 +61,60 @@ class TestWorkerCount:
         monkeypatch.setenv(WORKERS_ENV, "abc")
         with pytest.raises(ValueError, match=f"{WORKERS_ENV}.*'abc'"):
             worker_count()
+
+
+class TestChunkBytes:
+    def test_counts_trials_of_one_chunk_only(self, desk_cfg):
+        one_chunk = chunk_bytes(TrialPlan(num_trials=256, chunk_size=2048),
+                                desk_cfg)
+        assert one_chunk == chunk_bytes(
+            TrialPlan(num_trials=10**9, chunk_size=256), desk_cfg)
+        assert chunk_bytes(
+            TrialPlan(num_trials=10**9, chunk_size=512), desk_cfg
+        ) == 2 * one_chunk
+
+    def test_grows_with_antennas_times_trained_ports(self):
+        plan = TrialPlan(num_trials=1000, chunk_size=1000)
+
+        def size(num_fas, ports, skipped):
+            return chunk_bytes(plan, FaArrayConfig(
+                num_fas=num_fas, ports_per_fa=ports, skipped_ports=skipped))
+
+        # 15 ports with one skipped train 8, as do 8 ports with none
+        assert size(4, 15, 1) == size(4, 8, 0) == size(2, 16, 0)
+        per_port = size(4, 16, 0) - size(4, 15, 0)
+        assert per_port > 0
+        assert size(4, 30, 0) - size(4, 15, 0) == 15 * per_port
+        # an absurd port count is estimated, not built
+        assert size(4, 10**9, 1) > 10**14
+
+    @pytest.mark.parametrize("faithful", [False, True])
+    @pytest.mark.parametrize("num_fas, ports, skipped, trials", [
+        (1, 2, 1, 2048),
+        (2, 5, 1, 512),
+        (4, 15, 1, 2048),
+        (4, 30, 0, 256),
+    ])
+    def test_bounds_the_traced_peak_of_a_chunk(
+        self, stock_net, num_fas, ports, skipped, trials, faithful
+    ):
+        # a stock-shaped frame budget: pilot length and threshold do not
+        # change what the chunk allocates
+        cfg = FaArrayConfig(num_fas=num_fas, ports_per_fa=ports,
+                            skipped_ports=skipped)
+        budget = build_frame_budget(FaArrayConfig(), FluidParams(),
+                                    1e8, 0.05, 0.16)
+        plan = TrialPlan(num_trials=trials, chunk_size=trials, seed=5,
+                         faithful_pilots=faithful)
+        tracemalloc.start()
+        try:
+            estimate_outage(plan, cfg, stock_net, budget,
+                            sinr_threshold(1.0, budget), workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        estimate = chunk_bytes(plan, cfg)
+        assert peak <= estimate <= 2 * peak
 
 
 # =====================================================================

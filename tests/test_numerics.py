@@ -249,6 +249,84 @@ class TestMarcumQ1GapBound:
         assert np.all(1.0 - q == 1.0)
 
 
+def _ulp_steps(x, count=2):
+    """x and ``count`` neighbouring doubles on each side, ascending."""
+    below = [x]
+    above = [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[:0:-1] + above)
+
+
+def _on_series_branch(a, b):
+    """Where ``marcum_q1`` takes the erfc series: b >= a, ab >= 16 and
+    (b - a)^2 <= ab, in the same double arithmetic."""
+    ab = a * b
+    return (b >= a) & (ab >= 16.0) & ((a - b) ** 2 <= ab)
+
+
+class TestMarcumQ1LargeArgumentSeries:
+    """The erfc series above the ridge, where ab >= 16 and
+    (b - a)^2 <= ab."""
+
+    def test_matches_the_oracle(self):
+        pytest.importorskip("mpmath")
+        count = 200
+        ab = np.geomspace(16.0, 8000.0, count)
+        # b - a runs from 0 to sqrt(ab) in a low-discrepancy order, so
+        # both ends of the gap range meet every decade of ab
+        share = np.mod(np.arange(count) * 0.6180339887498949, 1.0)
+        share[:2] = (0.0, 1.0)
+        gap = share * np.sqrt(ab)
+        a = 0.5 * (np.sqrt(gap * gap + 4.0 * ab) - gap)
+        b = a + gap
+        inside = _on_series_branch(a, b)
+        assert inside.sum() >= count - 2  # rounding may push an edge out
+        # 25 digits leave the oracle ~1e-20 relative, far below the bound,
+        # and keep its ~a^2/2 Poisson terms per point affordable
+        ref = np.array([
+            float(marcum_q1_mpmath(x, y, digits=25)) for x, y in zip(a, b)
+        ])
+        q = marcum_q1(a, b)
+        assert np.abs(q - ref).max() <= 1e-15
+        kept = ref >= 1e-20
+        assert kept.sum() >= 100
+        assert np.all(np.abs(q[kept] - ref[kept]) <= 5e-14 * ref[kept])
+
+    @pytest.mark.parametrize("b", [4.5, 5.0, 5.5, 6.0])
+    def test_continuous_at_the_product_edge(self, b):
+        a = _ulp_steps(16.0 / b)
+        inside = _on_series_branch(a, b)
+        assert inside.any() and not inside.all()
+        assert np.all(b >= a) and np.all((a - b) ** 2 <= a * b)
+        assert np.abs(np.diff(marcum_q1(a, b))).max() <= 1e-14
+
+    @pytest.mark.parametrize("gap", [4.5, 6.0, 10.0, 30.0, 80.0])
+    def test_continuous_at_the_gap_edge(self, gap):
+        # (b - a)^2 = ab at a = gap (sqrt(5) - 1)/2
+        a = gap * 0.5 * (math.sqrt(5.0) - 1.0)
+        b = _ulp_steps(a + gap)
+        inside = _on_series_branch(a, b)
+        assert inside.any() and not inside.all()
+        assert np.all(a * b >= 16.0)
+        assert np.abs(np.diff(marcum_q1(a, b))).max() <= 1e-14
+
+    @pytest.mark.parametrize("a", [4.0, 10.0, 40.0, 100.0])
+    def test_equal_arguments(self, a):
+        expected = 0.5 * (1.0 + float(bessel_i0e(a * a)))
+        assert abs(marcum_q1(a, a) - expected) <= 1e-15
+
+    def test_far_out_on_the_ridge(self):
+        # a Rician amplitude with a huge mean is nearly Gaussian with unit
+        # variance: Q1(a, a + 3) tends to the normal tail at 3
+        q = marcum_q1(1e5, 1e5 + 3.0)
+        assert 0.0 <= q <= 1.0
+        assert abs(q - 0.5 * math.erfc(3.0 / math.sqrt(2.0))) <= 1e-5
+        with pytest.raises(ConvergenceError):
+            marcum_q1(1e200, 1e200)
+
+
 # ---------------------------------------------------------------------------
 # adaptive quadrature
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fluidcell import numerics
 from fluidcell.channel import (
     correlation_profile,
     error_variance_at,
@@ -445,6 +446,29 @@ class TestOutageProbability:
         net = NetworkConfig(tx_power=10.0)
         got = outage_probability(stock_cfg, net, stock_budget, stock_target)
         assert sum(evals) <= 36_000
+        assert abs(got - 0.479437508978) <= 1e-9
+
+    def test_chndtr_evaluation_count_guard(
+        self, stock_cfg, stock_budget, stock_target, monkeypatch
+    ):
+        # stock array at 40 dBm: all 25,576 Marcum Q values went through
+        # scipy's noncentral chi-square; the erfc series takes those with
+        # ab >= 16 and (b - a)^2 <= ab, which leaves about 15.6k
+        counts = []
+        special = numerics._sf
+
+        class CountingSpecial:
+            def __getattr__(self, name):
+                return getattr(special, name)
+
+            def chndtr(self, x, df, nc):
+                counts.append(np.size(x))
+                return special.chndtr(x, df, nc)
+
+        monkeypatch.setattr(numerics, "_sf", CountingSpecial())
+        net = NetworkConfig(tx_power=10.0)
+        got = outage_probability(stock_cfg, net, stock_budget, stock_target)
+        assert 0 < sum(counts) <= 18_000
         assert abs(got - 0.479437508978) <= 1e-9
 
     def test_pair_chunks_leave_the_value_unchanged(
