@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .field import campbell_mean
 from .geometry import (
     InfeasibleFrameError,
     fluid_velocity,
@@ -103,11 +104,9 @@ def pilot_noise_ratio(r, net):
     the pilot length by this ratio gives the post-combining pilot SNR.
     """
     r = np.asarray(r, dtype=float)
-    a = net.path_loss_exponent
-    interference = (
-        2.0 * math.pi * net.bs_density * np.square(r) / (a - 2.0)
-    )
-    return r**a / net.transmit_snr + interference
+    # the Campbell mean at r over the unit-power pilot gain sigma^2 r^(-a)
+    interference = campbell_mean(np.square(r), net) / net.channel_variance
+    return r**net.path_loss_exponent / net.transmit_snr + interference
 
 
 def error_variance_at(r, pilot_length, net):

@@ -29,7 +29,8 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -62,28 +63,29 @@ __all__ = [
 
 log = logging.getLogger("fluidcell")
 
-CSV_COLUMNS = (
-    "sweep_value",
-    "outage_analytic_common",
-    "outage_analytic_perport",
-    "outage_lower",
-    "outage_upper",
-    "outage_mc",
-    "mc_stderr",
-    "wall_ms",
-)
-
-SWEEP_PARAMETERS = (
-    "tx-power",
-    "num-fas",
-    "ports-per-fa",
-    "bs-density",
-    "target-variance",
-)
-ENGINES = ("analytic", "bounds", "monte-carlo")
+# sweep parameter -> (RunConfig part, or None for RunConfig itself,
+# field, cast of the grid value)
+_SWEEP_FIELDS = {
+    "tx-power": ("network", "tx_power", float),
+    "num-fas": ("array", "num_fas", int),
+    "ports-per-fa": ("array", "ports_per_fa", int),
+    "bs-density": ("network", "bs_density", float),
+    "target-variance": (None, "target_variance", float),
+}
+SWEEP_PARAMETERS = tuple(_SWEEP_FIELDS)
+# the CSV cells of each engine; the analytic ones follow the order of
+# the analytic averaging modes
+_ENGINE_COLUMNS = {
+    "analytic": ("outage_analytic_common", "outage_analytic_perport"),
+    "bounds": ("outage_lower", "outage_upper"),
+    "monte-carlo": ("outage_mc", "mc_stderr"),
+}
+ENGINES = tuple(_ENGINE_COLUMNS)
+CSV_COLUMNS = ("sweep_value",
+               *(c for columns in _ENGINE_COLUMNS.values() for c in columns),
+               "wall_ms")
+_ANALYTIC_MODES = ("common-gamma", "per-port-gamma")
 PRESETS = ("fig3", "fig4", "fig5", "fig6", "fig7")
-
-_INTEGER_PARAMETERS = ("num-fas", "ports-per-fa")
 
 # ceiling on the Monte Carlo chunk memory of the grid points a sweep runs
 # at once; every preset needs at most ~0.8 GB even with all its points
@@ -117,15 +119,7 @@ _DEFAULTS = {
     "faithful_pilots": 0,
 }
 
-_INT_KEYS = {
-    "num_fas",
-    "ports_per_fa",
-    "skipped_ports",
-    "trials",
-    "seed",
-    "chunk_size",
-    "faithful_pilots",
-}
+_INT_KEYS = {key for key, value in _DEFAULTS.items() if isinstance(value, int)}
 
 
 class ConfigError(ValueError):
@@ -145,6 +139,21 @@ class RunConfig:
     rate: float                  # bits per channel use
     target_variance: float       # error-variance goal for skip sizing
     plan: TrialPlan
+
+    def __post_init__(self):
+        if not self.coherence_bandwidth > 0.0:
+            raise ValueError("coherence_bandwidth must be positive")
+        if not self.coherence_time > 0.0:
+            raise ValueError("coherence_time must be positive")
+        if not 0.0 < self.estimation_fraction < 1.0:
+            raise ValueError("estimation_fraction must lie strictly in (0, 1)")
+        if not self.rate >= 0.0:
+            raise ValueError("rate must be nonnegative")
+        if not 0.0 < self.target_variance < self.network.channel_variance:
+            raise ValueError(
+                "target_variance must lie strictly between 0 and "
+                "channel_variance"
+            )
 
     def budget(self):
         return build_frame_budget(
@@ -179,7 +188,6 @@ class SweepSpec:
     parameter: str
     grid: tuple
     engines: tuple = ("analytic",)
-    output_path: str = None
     interference_limited: bool = False
 
     def __post_init__(self):
@@ -195,7 +203,7 @@ class SweepSpec:
         if diffs and not (all(d > 0 for d in diffs)
                           or all(d < 0 for d in diffs)):
             raise ConfigError("sweep grid must be strictly monotone")
-        if self.parameter in _INTEGER_PARAMETERS:
+        if _SWEEP_FIELDS[self.parameter][2] is int:
             for v in grid:
                 if v != int(v) or v < 1:
                     raise ConfigError(
@@ -243,59 +251,19 @@ def _parse_value(key, text):
 
 
 def _build_run_config(values):
+    values = dict(values, num_trials=values["trials"],
+                  faithful_pilots=bool(values["faithful_pilots"]))
+
+    def build(cls, **parts):
+        own = {f.name: values[f.name] for f in fields(cls) if f.name in values}
+        return cls(**own, **parts)
+
     try:
-        array = FaArrayConfig(
-            num_fas=values["num_fas"],
-            ports_per_fa=values["ports_per_fa"],
-            skipped_ports=values["skipped_ports"],
-            aperture_wavelengths=values["aperture_wavelengths"],
-            wavelength=values["wavelength"],
-        )
-        fluid = FluidParams(
-            charge=values["charge"],
-            viscosity=values["viscosity"],
-            thickness_to_length=values["thickness_to_length"],
-            voltage_delta=values["voltage_delta"],
-        )
-        network = NetworkConfig(
-            bs_density=values["bs_density"],
-            path_loss_exponent=values["path_loss_exponent"],
-            tx_power=values["tx_power"],
-            noise_power=values["noise_power"],
-            channel_variance=values["channel_variance"],
-        )
-        plan = TrialPlan(
-            num_trials=values["trials"],
-            seed=values["seed"],
-            chunk_size=values["chunk_size"],
-            faithful_pilots=bool(values["faithful_pilots"]),
-        )
+        return build(RunConfig, array=build(FaArrayConfig),
+                     fluid=build(FluidParams), network=build(NetworkConfig),
+                     plan=build(TrialPlan))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not values["coherence_bandwidth"] > 0.0:
-        raise ConfigError("coherence_bandwidth must be positive")
-    if not values["coherence_time"] > 0.0:
-        raise ConfigError("coherence_time must be positive")
-    if not 0.0 < values["estimation_fraction"] < 1.0:
-        raise ConfigError("estimation_fraction must lie strictly in (0, 1)")
-    if not values["rate"] >= 0.0:
-        raise ConfigError("rate must be nonnegative")
-    if not 0.0 < values["target_variance"] < values["channel_variance"]:
-        raise ConfigError(
-            "target_variance must lie strictly between 0 and "
-            "channel_variance"
-        )
-    return RunConfig(
-        array=array,
-        fluid=fluid,
-        network=network,
-        coherence_bandwidth=values["coherence_bandwidth"],
-        coherence_time=values["coherence_time"],
-        estimation_fraction=values["estimation_fraction"],
-        rate=values["rate"],
-        target_variance=values["target_variance"],
-        plan=plan,
-    )
 
 
 def load_config(path):
@@ -327,23 +295,11 @@ def default_config():
 # ---------------------------------------------------------------------------
 
 def _apply_sweep_value(base, parameter, value):
-    if parameter == "tx-power":
-        return replace(base, network=replace(base.network, tx_power=value))
-    if parameter == "num-fas":
-        return replace(base, array=replace(base.array, num_fas=int(value)))
-    if parameter == "ports-per-fa":
-        return replace(base, array=replace(base.array,
-                                           ports_per_fa=int(value)))
-    if parameter == "bs-density":
-        return replace(base, network=replace(base.network, bs_density=value))
-    if parameter == "target-variance":
-        if not 0.0 < value < base.network.channel_variance:
-            raise ValueError(
-                "target_variance must lie strictly between 0 and "
-                "channel_variance"
-            )
-        return replace(base, target_variance=value)
-    raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    part, name, cast = _SWEEP_FIELDS[parameter]
+    change = {name: cast(value)}
+    if part is not None:
+        change = {part: replace(getattr(base, part), **change)}
+    return replace(base, **change)
 
 
 def _common_correlation(array):
@@ -373,28 +329,36 @@ def _compute_point(index, value, spec, base, printed_forms, mode):
             f"{engine}: {exc}"
         )
 
+    def run(engine, columns, compute):
+        # one cell per value that compute() returns, or error cells
+        try:
+            values = compute()
+        except Exception as exc:
+            fail(engine, columns, exc)
+        else:
+            row.update((c, f"{v:.12g}") for c, v in zip(columns, values))
+
     try:
         cfg = _apply_sweep_value(base, spec.parameter, value)
         budget = cfg.budget()
     except Exception as exc:
-        engine_columns = {
-            "analytic": ("outage_analytic_common", "outage_analytic_perport"),
-            "bounds": ("outage_lower", "outage_upper"),
-            "monte-carlo": ("outage_mc", "mc_stderr"),
-        }
         for engine in spec.engines:
-            fail(engine, engine_columns[engine], exc)
-        row["wall_ms"] = f"{(time.perf_counter() - started) * 1e3:.3f}"
-        return row, failures
+            fail(engine, _ENGINE_COLUMNS[engine], exc)
+    else:
+        _run_engines(run, index, spec, cfg, budget, printed_forms, mode)
+    row["wall_ms"] = f"{(time.perf_counter() - started) * 1e3:.3f}"
+    return row, failures
 
+
+def _run_engines(run, index, spec, cfg, budget, printed_forms, mode):
+    """Fill one point's cells through ``run(engine, columns, compute)``."""
     if spec.parameter == "target-variance":
         # design-rule sweep: the analytic column carries the minimum
         # skip count at the typical serving distance, nothing else
-        try:
-            rho = 1.0 / math.sqrt(math.pi * cfg.network.bs_density)
-            nu_star = min_skipped_ports(
+        run("analytic", ("outage_analytic_common",), lambda: [
+            min_skipped_ports(
                 cfg.target_variance,
-                rho,
+                1.0 / math.sqrt(math.pi * cfg.network.bs_density),
                 1,
                 cfg.array,
                 cfg.fluid,
@@ -403,58 +367,29 @@ def _compute_point(index, value, spec, base, printed_forms, mode):
                 cfg.coherence_time,
                 cfg.estimation_fraction,
             )
-            row["outage_analytic_common"] = f"{nu_star:.12g}"
-        except Exception as exc:
-            fail("analytic", ("outage_analytic_common",), exc)
-        row["wall_ms"] = f"{(time.perf_counter() - started) * 1e3:.3f}"
-        return row, failures
+        ])
+        return
 
     target = cfg.target(budget, printed_exponent=printed_forms)
-
     if "analytic" in spec.engines:
-        if mode in ("both", "common-gamma"):
-            try:
-                common = outage_probability(
+        for name, column in zip(_ANALYTIC_MODES, _ENGINE_COLUMNS["analytic"]):
+            if mode in ("both", name):
+                run("analytic", (column,), lambda: [outage_probability(
                     cfg.array, cfg.network, budget, target,
-                    mode="common-gamma", printed_form=printed_forms,
-                )
-                row["outage_analytic_common"] = f"{common:.12g}"
-            except Exception as exc:
-                fail("analytic", ("outage_analytic_common",), exc)
-        if mode in ("both", "per-port-gamma"):
-            try:
-                perport = outage_probability(
-                    cfg.array, cfg.network, budget, target,
-                    mode="per-port-gamma", printed_form=printed_forms,
-                )
-                row["outage_analytic_perport"] = f"{perport:.12g}"
-            except Exception as exc:
-                fail("analytic", ("outage_analytic_perport",), exc)
-
+                    mode=name, printed_form=printed_forms,
+                )])
     if "bounds" in spec.engines:
-        try:
-            mu = _common_correlation(cfg.array)
-            low, high = averaged_outage_bounds(
-                mu, cfg.array, cfg.network, budget, target
-            )
-            row["outage_lower"] = f"{low:.12g}"
-            row["outage_upper"] = f"{high:.12g}"
-        except Exception as exc:
-            fail("bounds", ("outage_lower", "outage_upper"), exc)
-
+        run("bounds", _ENGINE_COLUMNS["bounds"],
+            lambda: averaged_outage_bounds(
+                _common_correlation(cfg.array), cfg.array, cfg.network,
+                budget, target,
+            ))
     if "monte-carlo" in spec.engines:
-        try:
-            outage, stderr = estimate_outage(
+        run("monte-carlo", _ENGINE_COLUMNS["monte-carlo"],
+            lambda: estimate_outage(
                 cfg.plan, cfg.array, cfg.network, budget, target,
                 workers=1, stream_key=(index,),
-            )
-            row["outage_mc"] = f"{outage:.12g}"
-            row["mc_stderr"] = f"{stderr:.12g}"
-        except Exception as exc:
-            fail("monte-carlo", ("outage_mc", "mc_stderr"), exc)
-
-    row["wall_ms"] = f"{(time.perf_counter() - started) * 1e3:.3f}"
-    return row, failures
+            ))
 
 
 def _check_memory(configs, concurrent):
@@ -483,7 +418,7 @@ def run_sweep(spec, base, printed_forms=False, mode="both"):
     and each Monte Carlo point owns a stream keyed by its grid index,
     so the output is identical for any worker count.
     """
-    if mode not in ("both", "common-gamma", "per-port-gamma"):
+    if mode not in ("both",) + _ANALYTIC_MODES:
         raise ConfigError(f"unknown analytic mode {mode!r}")
     configs = [base]
     for value in spec.grid:
@@ -512,13 +447,9 @@ def run_sweep(spec, base, printed_forms=False, mode="both"):
 
 def write_rows(rows, path):
     """Write sweep rows as CSV to ``path`` ('-' for stdout)."""
-    if path is None or path == "-":
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(CSV_COLUMNS))
-        writer.writeheader()
-        writer.writerows(rows)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(CSV_COLUMNS))
+    with (nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", encoding="utf-8", newline="")) as handle:
+        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -537,7 +468,7 @@ def figure_preset(name, **overrides):
                     engines=("analytic", "monte-carlo"))
     elif name == "fig4":
         spec = dict(parameter="num-fas",
-                    grid=tuple(float(m) for m in range(1, 9)),
+                    grid=tuple(float(m) for m in range(1, 8)),
                     engines=("analytic", "monte-carlo"))
     elif name == "fig5":
         spec = dict(parameter="ports-per-fa",
@@ -610,7 +541,7 @@ def _build_parser():
                         help="evaluate the as-printed threshold and "
                              "conditional-outage variants")
     parser.add_argument("--mode",
-                        choices=("both", "common-gamma", "per-port-gamma"),
+                        choices=("both",) + _ANALYTIC_MODES,
                         default="both",
                         help="which analytic averaging modes to compute")
     parser.add_argument("--interference-limited", action="store_true",
@@ -644,8 +575,7 @@ def main(argv=None):
         if args.preset and args.sweep:
             raise ConfigError("--preset and --sweep are mutually exclusive")
         if args.preset:
-            overrides = {"output_path": args.out,
-                         "interference_limited": args.interference_limited}
+            overrides = {"interference_limited": args.interference_limited}
             if engines is not None:
                 overrides["engines"] = engines
             spec = figure_preset(args.preset, **overrides)
@@ -655,7 +585,6 @@ def main(argv=None):
                 parameter=key,
                 grid=grid,
                 engines=engines if engines is not None else ("analytic",),
-                output_path=args.out,
                 interference_limited=args.interference_limited,
             )
         else:
@@ -678,7 +607,7 @@ def main(argv=None):
         log.error("%s", exc)
         return 2
 
-    write_rows(rows, spec.output_path)
+    write_rows(rows, args.out)
     for message in failures:
         log.error("%s", message)
     if failures:

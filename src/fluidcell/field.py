@@ -20,6 +20,7 @@ __all__ = [
     "InterferenceModel",
     "sample_serving_distance",
     "mean_interference",
+    "campbell_mean",
     "gamma_interference_model",
 ]
 
@@ -81,12 +82,18 @@ def mean_interference(exclusion_radius, net):
     """
     if np.any(np.asarray(exclusion_radius) <= 0.0):
         raise ValueError("exclusion_radius must be positive")
-    return _campbell_mean(exclusion_radius ** (2.0 - net.path_loss_exponent),
-                          net)
+    return campbell_mean(exclusion_radius ** (2.0 - net.path_loss_exponent),
+                         net)
 
 
-def _campbell_mean(decay, net):
-    """Campbell mean from ``decay`` = radius^(2 - a), elementwise."""
+def campbell_mean(decay, net):
+    """Campbell mean of the field past radius r, from ``decay`` = r^(2 - a).
+
+    Elementwise over arrays. Callers raise the radius to its power
+    themselves, so each keeps its own rounding of it (libm's ``pow``
+    per float, numpy's vector power, or an exact square when the
+    mean is wanted rescaled by r^a).
+    """
     return (
         2.0 * math.pi * net.bs_density * net.channel_variance
         * decay / (net.path_loss_exponent - 2.0)
@@ -108,22 +115,15 @@ def gamma_interference_model(exclusion_radius, net):
     radii = np.asarray(exclusion_radius, dtype=float)
     if np.any(radii <= 0.0):
         raise ValueError("exclusion_radius must be positive")
-    a = net.path_loss_exponent
-    lam = net.bs_density
     # Python floats per radius: numpy's vector ** rounds differently from
     # libm's pow, and a radius must get one model alone or batched
-    decays = [r ** (2.0 - a) for r in radii.reshape(-1).tolist()]
-    shape = [2.0 * (math.pi * lam * d / (a - 2.0)) ** 2 for d in decays]
-    scale = [
-        net.channel_variance * (a - 2.0) / (math.pi * lam * d)
-        for d in decays
-    ]
-    mean = _campbell_mean(np.array(decays), net)
-    if radii.ndim == 0:
-        shape, scale, mean = shape[0], scale[0], float(mean[0])
-    else:
-        shape, scale = np.array(shape), np.array(scale)
+    decays = [r ** (2.0 - net.path_loss_exponent)
+              for r in radii.reshape(-1).tolist()]
+    mean = campbell_mean(np.array(decays), net)
     variance = 2.0 * net.channel_variance**2
+    shape, scale = mean**2 / variance, variance / mean
+    if radii.ndim == 0:
+        shape, scale, mean = float(shape[0]), float(scale[0]), float(mean[0])
     return InterferenceModel(
         shape=shape,
         scale=scale,

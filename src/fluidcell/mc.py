@@ -103,6 +103,12 @@ def _chunk_rng(seed, stream_key, chunk_index):
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _lmmse_coefficient(err, amp, sigma_sq):
+    """LMMSE gain amp sigma^2 / (amp^2 sigma^2 + noise) on amp * g + noise,
+    written through the error variance ``err`` that the noise leaves."""
+    return (1.0 - err / sigma_sq) / amp
+
+
 def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
     """Simulate ``n`` trials; returns the outage count."""
     lam = net.bs_density
@@ -165,12 +171,7 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
         amp = np.sqrt(
             budget.pilot_length * net.tx_power / r_ports**a
         )  # (n, j)
-        design = (
-            amp**2 * sigma_sq
-            + net.noise_power
-            + net.tx_power * mean_interference(r_ports, net)
-        )
-        coeff = amp * sigma_sq / design
+        coeff = _lmmse_coefficient(err, amp, sigma_sq)
         noise_var = net.noise_power + net.tx_power * pilot_inter
         zre = rng.normal(0.0, scale, (n, m, j))
         zim = rng.normal(0.0, scale, (n, m, j))
@@ -274,7 +275,8 @@ def estimate_lmmse_mse(plan, cfg, net, budget, rho, port, stream_key=()):
     r = link_distance(port, rho, cfg)
     amp = math.sqrt(budget.pilot_length * net.tx_power / r**net.path_loss_exponent)
     floor = net.noise_power + net.tx_power * mean_interference(r, net)
-    coeff = amp * sigma_sq / (amp**2 * sigma_sq + floor)
+    err = error_variance_at(r, budget.pilot_length, net)
+    coeff = _lmmse_coefficient(err, amp, sigma_sq)
 
     n = plan.num_trials
     chunk = plan.chunk_size

@@ -26,7 +26,7 @@ from .channel import (
     error_variance_at,
     joint_magnitude_cdf,
 )
-from .field import gamma_interference_model
+from .field import campbell_mean, gamma_interference_model
 from .geometry import link_distances, trained_port_indices
 from .numerics import QuadratureSpec, integrate_finite
 
@@ -170,16 +170,14 @@ def conditional_outage_bounds(rho, interference, mu_common, cfg, net,
     if np.any(inter < 0.0):
         raise ValueError("interference must be nonnegative")
 
-    a = net.path_loss_exponent
     sigma_sq = net.channel_variance
     mu = abs(mu_common)
-    err = (
-        2.0 * math.pi * net.bs_density
-        * cfg.ports_per_fa / budget.data_uses
-        * rho**2 / (a - 2.0)
-    )
+    # interference term of the pilot-noise ratio over a per-port pilot
+    # share of data_uses / ports_per_fa
+    err = (campbell_mean(rho**2, net) / sigma_sq
+           * cfg.ports_per_fa / budget.data_uses)
     spread = sigma_sq * (1.0 - mu**2) + err
-    thetas = target.threshold * (rho**a * inter + err)
+    thetas = target.threshold * (rho**net.path_loss_exponent * inter + err)
     xi = thetas**2 / spread
 
     decay = np.exp(-xi)

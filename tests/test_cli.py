@@ -14,8 +14,10 @@ import fluidcell
 from fluidcell.cli import (
     _MEMORY_BUDGET,
     CSV_COLUMNS,
+    PRESETS,
     ConfigError,
     SweepSpec,
+    _apply_sweep_value,
     _parse_sweep_flag,
     default_config,
     figure_preset,
@@ -131,6 +133,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=match):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("target_variance", 1.0),
+        ("coherence_time", 0),
+        ("estimation_fraction", 1.0),
+        ("rate", -1),
+    ])
+    def test_replace_revalidates(self, key, value):
+        # RunConfig checks its own fields, so a sweep's replace does too
+        with pytest.raises(ValueError, match=key):
+            replace(default_config(), **{key: value})
+
     def test_stock_description(self):
         # the "resolved config:" log line of a stock run, key for key
         assert default_config().describe() == (
@@ -235,6 +248,13 @@ class TestFigurePresets:
     def test_overrides_win(self):
         spec = figure_preset("fig3", engines=("analytic",))
         assert spec.engines == ("analytic",)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_every_point_fits_the_stock_frame(self, preset):
+        base = default_config()
+        spec = figure_preset(preset)
+        for value in spec.grid:
+            _apply_sweep_value(base, spec.parameter, value).budget()
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
