@@ -56,7 +56,6 @@ from .outage import (
     RateTarget,
     conditional_outage,
     conditional_outage_bounds,
-    joint_outage_given_thresholds,
     outage_probability,
     outage_thresholds,
     sinr_threshold,
@@ -94,7 +93,6 @@ __all__ = [
     "integrate_finite_with_error",
     "joint_magnitude_cdf",
     "joint_magnitude_pdf",
-    "joint_outage_given_thresholds",
     "link_distance",
     "marcum_q1",
     "mean_interference",

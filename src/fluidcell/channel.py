@@ -300,17 +300,23 @@ def joint_magnitude_pdf(taus, profile):
     return float(density * np.prod(factors))
 
 
-def sample_correlated_channels(rng, cfg, channel_variance=1.0, size=None):
-    """Complex channel draws for every antenna and port.
+def sample_correlated_channels(rng, cfg, channel_variance=1.0, size=None,
+                               ports=None):
+    """Complex channel draws for every antenna and each of ``ports``.
 
-    Returns shape ``(num_fas, ports_per_fa)``, or ``(size, ...)`` with a
-    leading trial axis. Ports share their antenna's first-port components
-    scaled by the signed autocorrelation; antennas are independent.
+    ``ports`` holds 1-based indices starting at port 1 (default: every
+    port). Returns shape ``(num_fas, len(ports))``, or ``(size, ...)``
+    with a leading trial axis. Ports share their antenna's first-port
+    components scaled by the signed autocorrelation, so sampling a
+    subset is exact; antennas are independent.
     """
-    m = cfg.num_fas
-    n = cfg.ports_per_fa
-    mu = np.array([autocorrelation(p + 1, cfg) for p in range(n)])
-    shape = (m, n) if size is None else (size, m, n)
+    if ports is None:
+        ports = range(1, cfg.ports_per_fa + 1)
+    if ports[0] != 1:
+        raise ValueError("the sampled ports must start at port 1")
+    mu = np.array([autocorrelation(p, cfg) for p in ports])
+    m, j = cfg.num_fas, len(mu)
+    shape = (m, j) if size is None else (size, m, j)
     scale = math.sqrt(0.5)
     re = rng.normal(0.0, scale, size=shape)
     im = rng.normal(0.0, scale, size=shape)

@@ -164,10 +164,10 @@ class RunConfig:
             self.estimation_fraction,
         )
 
-    def target(self, budget=None, printed_exponent=False):
+    def target(self, budget=None):
         if budget is None:
             budget = self.budget()
-        return sinr_threshold(self.rate, budget, printed_exponent)
+        return sinr_threshold(self.rate, budget)
 
     def describe(self):
         """Every config key with its resolved value, in file-key order."""
@@ -314,7 +314,7 @@ def _format(value):
     return f"{value:.12g}"
 
 
-def _compute_point(index, value, spec, base, printed_forms, mode):
+def _compute_point(index, value, spec, base, mode):
     """One grid point: returns (row dict, list of failure strings)."""
     row = {column: "" for column in CSV_COLUMNS}
     row["sweep_value"] = _format(value)
@@ -345,12 +345,12 @@ def _compute_point(index, value, spec, base, printed_forms, mode):
         for engine in spec.engines:
             fail(engine, _ENGINE_COLUMNS[engine], exc)
     else:
-        _run_engines(run, index, spec, cfg, budget, printed_forms, mode)
+        _run_engines(run, index, spec, cfg, budget, mode)
     row["wall_ms"] = f"{(time.perf_counter() - started) * 1e3:.3f}"
     return row, failures
 
 
-def _run_engines(run, index, spec, cfg, budget, printed_forms, mode):
+def _run_engines(run, index, spec, cfg, budget, mode):
     """Fill one point's cells through ``run(engine, columns, compute)``."""
     if spec.parameter == "target-variance":
         # design-rule sweep: the analytic column carries the minimum
@@ -370,13 +370,12 @@ def _run_engines(run, index, spec, cfg, budget, printed_forms, mode):
         ])
         return
 
-    target = cfg.target(budget, printed_exponent=printed_forms)
+    target = cfg.target(budget)
     if "analytic" in spec.engines:
         for name, column in zip(_ANALYTIC_MODES, _ENGINE_COLUMNS["analytic"]):
             if mode in ("both", name):
                 run("analytic", (column,), lambda: [outage_probability(
-                    cfg.array, cfg.network, budget, target,
-                    mode=name, printed_form=printed_forms,
+                    cfg.array, cfg.network, budget, target, mode=name,
                 )])
     if "bounds" in spec.engines:
         run("bounds", _ENGINE_COLUMNS["bounds"],
@@ -405,7 +404,7 @@ def _check_memory(configs, concurrent):
         )
 
 
-def run_sweep(spec, base, printed_forms=False, mode="both"):
+def run_sweep(spec, base, mode="both"):
     """Evaluate every grid point; returns (rows, failure messages).
 
     Raises :class:`ConfigError` before any point runs when a grid value
@@ -430,8 +429,7 @@ def run_sweep(spec, base, printed_forms=False, mode="both"):
     _check_memory(configs, min(workers, len(spec.grid)))
 
     def point(args):
-        return _compute_point(args[0], args[1], spec, base,
-                              printed_forms, mode)
+        return _compute_point(args[0], args[1], spec, base, mode)
 
     items = list(enumerate(spec.grid))
     if workers <= 1 or len(items) == 1:
@@ -537,9 +535,6 @@ def _build_parser():
                         help="Monte Carlo base seed")
     parser.add_argument("--out", metavar="PATH", default="-",
                         help="output CSV path (default stdout)")
-    parser.add_argument("--compat-printed-forms", action="store_true",
-                        help="evaluate the as-printed threshold and "
-                             "conditional-outage variants")
     parser.add_argument("--mode",
                         choices=("both",) + _ANALYTIC_MODES,
                         default="both",
@@ -592,17 +587,12 @@ def main(argv=None):
 
         log.info("resolved config: %s", base.describe())
         log.info(
-            "sweep %s over %d points, engines: %s, mode: %s%s",
+            "sweep %s over %d points, engines: %s, mode: %s",
             spec.parameter, len(spec.grid), ",".join(spec.engines),
             args.mode,
-            ", printed forms" if args.compat_printed_forms else "",
         )
 
-        rows, failures = run_sweep(
-            spec, base,
-            printed_forms=args.compat_printed_forms,
-            mode=args.mode,
-        )
+        rows, failures = run_sweep(spec, base, mode=args.mode)
     except ConfigError as exc:
         log.error("%s", exc)
         return 2

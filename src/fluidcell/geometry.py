@@ -41,7 +41,6 @@ class FaArrayConfig:
     skipped_ports: int = 1       # untrained ports between trained ones
     aperture_wavelengths: float = 0.2   # aperture length / carrier wavelength
     wavelength: float = 0.06     # carrier wavelength, m
-    center_offset: float = 0.0   # receiver offset from the array center, m
 
     def __post_init__(self):
         if self.num_fas < 1:
@@ -56,10 +55,6 @@ class FaArrayConfig:
             raise ValueError("aperture_wavelengths must be positive")
         if self.wavelength <= 0.0:
             raise ValueError("wavelength must be positive")
-        if self.center_offset != 0.0:
-            raise ValueError(
-                "only a centered receiver (center_offset == 0) is supported"
-            )
 
     @property
     def aperture(self):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import autocorrelation, error_variance_at
+from .channel import error_variance_at, sample_correlated_channels
 from .field import mean_interference, sample_serving_distance
 from .geometry import link_distance, port_displacement, trained_port_indices
 
@@ -118,7 +118,6 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
     ports = trained_port_indices(cfg)
     j = len(ports)
     d = np.array([port_displacement(p, cfg) for p in ports])
-    mu = np.array([autocorrelation(p, cfg) for p in ports])
 
     rho = sample_serving_distance(rng, lam, size=n)
     r_ports = np.sqrt(rho[:, None] ** 2 + d[None, :] ** 2)  # (n, j)
@@ -142,15 +141,9 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
         path_gain = sq ** np.float32(-0.5 * a)
     del sq
 
-    # correlated true channels at the trained ports; every port couples
-    # to its antenna's first port only, so sampling the subset is exact
-    w = np.sqrt(1.0 - mu**2)
+    # correlated true channels at the trained ports
+    g = sample_correlated_channels(rng, cfg, sigma_sq, n, ports)
     scale = math.sqrt(0.5)
-    re = rng.normal(0.0, scale, (n, m, j))
-    im = rng.normal(0.0, scale, (n, m, j))
-    g = math.sqrt(sigma_sq) * (
-        (w * re + mu * re[..., :1]) + 1j * (w * im + mu * im[..., :1])
-    )
 
     def faded_sums():
         fades = rng.standard_exponential(total, dtype=np.float32)

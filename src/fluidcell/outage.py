@@ -6,11 +6,6 @@ Outage happens when every candidate's SINR misses the rate-derived
 threshold. The expressions here condition on serving distance and
 interference, then average both out; an interference-limited closed-form
 bracket avoids quadrature entirely.
-
-Two printed-form switches reproduce algebraic variants kept for
-comparison: an alternative rate exponent and an alternative threshold
-substitution in the conditional outage. Defaults use the forms that are
-dimensionally consistent with the SINR definition.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ __all__ = [
     "RateTarget",
     "sinr_threshold",
     "outage_thresholds",
-    "joint_outage_given_thresholds",
     "conditional_outage",
     "conditional_outage_bounds",
     "outage_probability",
@@ -67,18 +61,15 @@ class RateTarget:
             raise ValueError("threshold vanishes exactly at zero rate")
 
 
-def sinr_threshold(rate, budget, printed_exponent=False):
+def sinr_threshold(rate, budget):
     """SINR threshold equivalent to the target rate over the data share.
 
-    The default scales the rate by the fraction of the frame that
-    carries data. ``printed_exponent`` instead scales by one minus that
-    fraction (the training share), kept for comparison runs.
+    The rate is scaled by the fraction of the frame that carries data.
     """
     if rate < 0.0:
         raise ValueError("rate must be nonnegative")
     data_fraction = budget.data_uses / budget.total_uses
-    scale = (1.0 - data_fraction) if printed_exponent else data_fraction
-    threshold = 2.0 ** (rate / scale) - 1.0
+    threshold = 2.0 ** (rate / data_fraction) - 1.0
     return RateTarget(
         rate=float(rate),
         threshold=float(threshold),
@@ -114,35 +105,18 @@ def outage_thresholds(rho, interference, cfg, net, budget, target):
     )
 
 
-def joint_outage_given_thresholds(thetas, profile, spec=None,
-                                  printed_form=False):
-    """Probability that every trained port misses its power threshold.
-
-    The default substitutes each threshold's square root into the joint
-    magnitude law. ``printed_form`` substitutes the thresholds directly
-    (squared integration limit, unsquared Rician arguments), matching
-    the algebra the closed-form bracket is derived from.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    if np.any(thetas < 0.0):
-        raise ValueError("thresholds must be nonnegative")
-    taus = thetas if printed_form else np.sqrt(thetas)
-    return joint_magnitude_cdf(taus, profile, spec)
-
-
 def conditional_outage(rho, interference, cfg, net, budget, target,
-                       spec=None, printed_form=False):
+                       spec=None):
     """Outage probability of one antenna given distance and interference.
 
-    A 1-D array of distances, with interference as in
-    :func:`outage_thresholds`, gives one outage per distance, computed
-    as one batch.
+    The antenna is in outage when every trained port's estimated power
+    misses its threshold, so the thresholds' square roots enter the
+    joint magnitude law. A 1-D array of distances, with interference as
+    in :func:`outage_thresholds`, gives one outage per distance.
     """
     profile = correlation_profile(cfg, net, budget, rho)
     thetas = outage_thresholds(rho, interference, cfg, net, budget, target)
-    return joint_outage_given_thresholds(
-        thetas, profile, spec, printed_form=printed_form
-    )
+    return joint_magnitude_cdf(np.sqrt(thetas), profile, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +247,7 @@ def _distance_averaged(conditional, tags, anchor, net, spec):
 
 
 def outage_probability(cfg, net, budget, target, spec=None,
-                       mode="common-gamma", printed_form=False):
+                       mode="common-gamma"):
     """Network outage probability averaged over distance and interference.
 
     ``common-gamma`` shares one Gamma interference draw across the
@@ -291,10 +265,7 @@ def outage_probability(cfg, net, budget, target, spec=None,
         raise ValueError(f"unknown mode {mode!r}")
 
     def conditional(_, rhos, gammas):
-        return conditional_outage(
-            rhos, gammas, cfg, net, budget, target, spec,
-            printed_form=printed_form,
-        )
+        return conditional_outage(rhos, gammas, cfg, net, budget, target, spec)
 
     if mode == "common-gamma":
         single = _distance_averaged(

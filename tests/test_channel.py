@@ -28,11 +28,7 @@ from fluidcell.geometry import (
     trained_port_indices,
 )
 from fluidcell.numerics import marcum_q1
-from fluidcell.outage import (
-    joint_outage_given_thresholds,
-    outage_thresholds,
-    sinr_threshold,
-)
+from fluidcell.outage import outage_thresholds, sinr_threshold
 
 from conftest import COHERENCE_BANDWIDTH, COHERENCE_TIME, ESTIMATION_FRACTION
 
@@ -462,11 +458,12 @@ class TestJointMagnitudeCdfBatch:
         assert got[1] == 0.0
         assert got[2] == -math.expm1(-(tau**2) / 1.2)
 
-    def test_printed_form_thresholds(
+    def test_root_and_power_thresholds(
         self, desk_cfg, stock_net, desk_budget
     ):
-        # printed_form substitutes power thresholds as magnitudes: large
-        # limits on the truncated exp(-t) integral
+        # outage passes the thresholds' square roots; the power thresholds
+        # themselves, taken as magnitudes, put large limits on the
+        # truncated exp(-t) integral
         target = sinr_threshold(1.0, desk_budget)
         rhos = np.array([5.0, 40.0, 70.0, 140.0, 300.0])
         gammas = np.array([0.0, 1e-9, 3e-7, 0.0, 2e-8])
@@ -474,17 +471,13 @@ class TestJointMagnitudeCdfBatch:
         thetas = outage_thresholds(
             rhos, gammas, desk_cfg, stock_net, desk_budget, target
         )
-        for printed in (False, True):
-            batch = joint_outage_given_thresholds(
-                thetas, profile, printed_form=printed
-            )
+        for taus in (np.sqrt(thetas), thetas):
+            batch = joint_magnitude_cdf(taus, profile)
             for k, rho in enumerate(rhos):
                 single = correlation_profile(
                     desk_cfg, stock_net, desk_budget, float(rho)
                 )
-                assert batch[k] == joint_outage_given_thresholds(
-                    thetas[k], single, printed_form=printed
-                )
+                assert batch[k] == joint_magnitude_cdf(taus[k], single)
 
     def test_one_marcum_call_per_round(self, monkeypatch):
         calls = []
@@ -581,6 +574,36 @@ class TestSampleCorrelatedChannels:
             np.mean(np.abs(resid) ** 2), 1.0 - mu**2, atol=0.01
         )
         assert abs(np.mean(np.conj(g[:, 2, 0]) * resid)) < 0.01
+
+    def test_all_ports_is_the_default(self, stock_cfg):
+        ports = range(1, stock_cfg.ports_per_fa + 1)
+        g = sample_correlated_channels(np.random.default_rng(5), stock_cfg,
+                                       size=64)
+        h = sample_correlated_channels(np.random.default_rng(5), stock_cfg,
+                                       size=64, ports=ports)
+        np.testing.assert_array_equal(g, h)
+
+    def test_trained_port_subset(self, stock_cfg):
+        ports = trained_port_indices(stock_cfg)
+        size = 200_000
+        g = sample_correlated_channels(
+            np.random.default_rng(42), stock_cfg, size=size, ports=ports
+        )
+        assert g.shape == (size, stock_cfg.num_fas, len(ports))
+        # each column's correlation with the first is within four
+        # standard errors of the Bessel profile at its own port index
+        anchor = g[:, 0, 0]
+        for k, port in enumerate(ports[1:], start=1):
+            mu = autocorrelation(port, stock_cfg)
+            products = (np.conj(anchor) * g[:, 0, k]).real
+            se = products.std() / math.sqrt(size)
+            assert abs(products.mean() - mu) <= 4.0 * se, port
+
+    def test_subset_must_start_at_the_first_port(self, stock_cfg):
+        with pytest.raises(ValueError):
+            sample_correlated_channels(
+                np.random.default_rng(0), stock_cfg, ports=(3, 5)
+            )
 
     def test_variance_scaling(self, stock_cfg):
         rng = np.random.default_rng(42)

@@ -417,6 +417,11 @@ class TestMain:
             main([])
         assert err.value.code == 2
 
+    def test_printed_forms_flag_is_gone(self):
+        with pytest.raises(SystemExit) as err:
+            main(["--compat-printed-forms", "--preset", "fig7"])
+        assert err.value.code == 2
+
     def test_trials_and_seed_overrides(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)
         out_a = str(tmp_path / "a.csv")

@@ -26,7 +26,6 @@ from fluidcell.outage import (
     averaged_outage_bounds,
     conditional_outage,
     conditional_outage_bounds,
-    joint_outage_given_thresholds,
     outage_probability,
     outage_thresholds,
     sinr_threshold,
@@ -73,22 +72,12 @@ class TestSinrThreshold:
         np.testing.assert_allclose(target.threshold, 1.28228062, rtol=1e-8)
         np.testing.assert_allclose(target.data_fraction, 0.84, rtol=1e-12)
 
-    def test_printed_exponent_value(self, stock_budget):
-        target = sinr_threshold(1.0, stock_budget, printed_exponent=True)
-        np.testing.assert_allclose(target.threshold, 75.10925536, rtol=1e-8)
-
     @pytest.mark.parametrize("rate", [0.25, 0.5, 1.0, 2.5])
     def test_rate_round_trip(self, rate, stock_budget):
         # the threshold inverts the rate relation over the data share
         t = sinr_threshold(rate, stock_budget)
         np.testing.assert_allclose(
             (1.0 + t.threshold) ** t.data_fraction, 2.0**rate, rtol=1e-12
-        )
-        p = sinr_threshold(rate, stock_budget, printed_exponent=True)
-        np.testing.assert_allclose(
-            (1.0 + p.threshold) ** (1.0 - p.data_fraction),
-            2.0**rate,
-            rtol=1e-12,
         )
 
     def test_zero_rate_zero_threshold(self, stock_budget):
@@ -235,7 +224,7 @@ class TestConditionalOutage:
             conditional_outage(
                 rho, inter, desk_cfg, stock_net, desk_budget, target
             ),
-            joint_outage_given_thresholds(thetas, profile),
+            joint_magnitude_cdf(np.sqrt(thetas), profile),
             rtol=1e-12,
         )
 
@@ -267,19 +256,6 @@ class TestConditionalOutage:
             )
             == 0.0
         )
-
-    def test_printed_form_differs(self, desk_cfg, stock_net, desk_budget):
-        # mid-range distance keeps both forms away from saturation
-        target = sinr_threshold(1.0, desk_budget)
-        default = conditional_outage(
-            15.0, 2e-8, desk_cfg, stock_net, desk_budget, target
-        )
-        printed = conditional_outage(
-            15.0, 2e-8, desk_cfg, stock_net, desk_budget, target,
-            printed_form=True,
-        )
-        assert 0.0 <= printed <= 1.0
-        assert printed != default
 
 
 # =====================================================================
