@@ -141,14 +141,14 @@ class RunConfig:
     plan: TrialPlan
 
     def __post_init__(self):
-        if not self.coherence_bandwidth > 0.0:
-            raise ValueError("coherence_bandwidth must be positive")
-        if not self.coherence_time > 0.0:
-            raise ValueError("coherence_time must be positive")
+        if not 0.0 < self.coherence_bandwidth < math.inf:
+            raise ValueError("coherence_bandwidth must be positive and finite")
+        if not 0.0 < self.coherence_time < math.inf:
+            raise ValueError("coherence_time must be positive and finite")
         if not 0.0 < self.estimation_fraction < 1.0:
             raise ValueError("estimation_fraction must lie strictly in (0, 1)")
-        if not self.rate >= 0.0:
-            raise ValueError("rate must be nonnegative")
+        if not 0.0 <= self.rate < math.inf:
+            raise ValueError("rate must be nonnegative and finite")
         if not 0.0 < self.target_variance < self.network.channel_variance:
             raise ValueError(
                 "target_variance must lie strictly between 0 and "

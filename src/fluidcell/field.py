@@ -4,14 +4,15 @@ Transmitters form a homogeneous Poisson field; the receiver attaches to
 the nearest one, so interferers live outside the serving distance. The
 closed-form outage path replaces the aggregate interference with a
 moment-matched Gamma variable, built here on the field's Campbell mean.
-The Monte Carlo engine draws serving distances here and samples the
-interferers itself.
+The Monte Carlo engine draws serving distances here, samples the near
+interferers itself, and draws the far field from its Campbell mean and
+variance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "sample_serving_distance",
     "mean_interference",
     "campbell_mean",
+    "campbell_variance",
     "gamma_interference_model",
 ]
 
@@ -36,6 +38,9 @@ class NetworkConfig:
     channel_variance: float = 1.0   # mean square channel gain
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.bs_density <= 0.0:
             raise ValueError("bs_density must be positive")
         if self.path_loss_exponent <= 2.0:
@@ -97,6 +102,21 @@ def campbell_mean(decay, net):
     return (
         2.0 * math.pi * net.bs_density * net.channel_variance
         * decay / (net.path_loss_exponent - 2.0)
+    )
+
+
+def campbell_variance(decay, net):
+    """Campbell variance of the field past radius r, from ``decay`` =
+    r^(2 - 2a).
+
+    Each interferer adds sigma^2 h r^(-a) with Rayleigh power fade h,
+    whose second moment is 2, so the variance is
+    2 sigma^4 * 2 pi lambda * r^(2 - 2a) / (2a - 2). Elementwise over
+    arrays, like ``campbell_mean``.
+    """
+    return (
+        2.0 * net.channel_variance**2 * 2.0 * math.pi * net.bs_density
+        * decay / (2.0 * net.path_loss_exponent - 2.0)
     )
 
 

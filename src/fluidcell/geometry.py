@@ -51,10 +51,10 @@ class FaArrayConfig:
             raise ValueError(
                 "skipped_ports must lie in [0, ports_per_fa - 1]"
             )
-        if self.aperture_wavelengths <= 0.0:
-            raise ValueError("aperture_wavelengths must be positive")
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
+        if not 0.0 < self.aperture_wavelengths < math.inf:
+            raise ValueError("aperture_wavelengths must be positive and finite")
+        if not 0.0 < self.wavelength < math.inf:
+            raise ValueError("wavelength must be positive and finite")
 
     @property
     def aperture(self):
@@ -73,8 +73,8 @@ class FluidParams:
 
     def __post_init__(self):
         for name in ("charge", "viscosity", "thickness_to_length", "voltage_delta"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

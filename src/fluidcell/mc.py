@@ -9,11 +9,14 @@ between the two paths is the package's core validation.
 The SINR charges the estimate's error through its variance, and each
 antenna's candidate sees fresh interferer fades over the trial's shared
 interferer positions. The field is sampled exactly, with independent
-fades per draw, within ``NEAR_FIELD_RATIO`` times the serving distance.
-Everything beyond adds its Campbell mean, a share
-``NEAR_FIELD_RATIO^(2 - a)`` of the mean interference (1% at a = 4).
-That keeps about a hundred interferers per trial at any density and
-path-loss exponent.
+fades per draw, within ``NEAR_FIELD_RATIO`` times the serving distance:
+15 interferers per trial on average at any density and path-loss
+exponent. The field beyond carries a share ``NEAR_FIELD_RATIO^(2 - a)``
+of the mean interference (6% at a = 4, 25% at a = 3). It enters as two
+Gamma draws matched to its Campbell mean m and variance v: one per
+trial, shared like the positions, and one per draw, fresh like the
+fades, each with mean m/2 and variance v/2. Their sum has the far
+field's mean, variance, and covariance v/2 between draws of a trial.
 
 Trials run in fixed-size chunks, each with its own counter-derived
 random stream, so results are identical for any worker count and the
@@ -30,7 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import error_variance_at, sample_correlated_channels
-from .field import mean_interference, sample_serving_distance
+from .field import (
+    campbell_variance,
+    mean_interference,
+    sample_serving_distance,
+)
 from .geometry import link_distance, port_displacement, trained_port_indices
 
 __all__ = [
@@ -44,18 +51,19 @@ __all__ = [
 WORKERS_ENV = "FLUIDCELL_WORKERS"
 
 # exact-sampling radius over the serving distance; the far field beyond
-# enters through its Campbell mean
-NEAR_FIELD_RATIO = 10.0
+# enters through Gamma draws matched to its Campbell mean and variance
+NEAR_FIELD_RATIO = 4.0
 
 # peak bytes of one chunk per trial: per near-field interferer (index,
 # squared distance, gain, fades and bincount's float64 weights), per
 # antenna and trained port (complex channels, estimates and their
-# temporaries), and per trial; tracemalloc peaks of _simulate_chunk
-# stay 25-45% below the estimate from 64 to 8192 trials and from 1 to
-# 240 antenna-port pairs
+# temporaries), and per trial (distances, the far-field Gamma laws and
+# the shared draw, and each sum with its fresh draw); the estimate is
+# 1.08-1.75 times the tracemalloc peak of _simulate_chunk from 64 to
+# 8192 trials and from 1 to 240 antenna-port pairs
 _BYTES_PER_INTERFERER = 32
-_BYTES_PER_PORT = 160
-_BYTES_PER_TRIAL = 256
+_BYTES_PER_PORT = 136
+_BYTES_PER_TRIAL = 320
 
 
 @dataclass(frozen=True)
@@ -80,7 +88,7 @@ def chunk_bytes(plan, cfg):
     """Estimated peak memory in bytes of one chunk of ``plan`` at ``cfg``.
 
     A chunk of min(chunk_size, num_trials) trials holds on average
-    NEAR_FIELD_RATIO^2 - 1 = 99 near-field interferers per trial, at any
+    NEAR_FIELD_RATIO^2 - 1 = 15 near-field interferers per trial, at any
     density (pi * lambda * rho^2 is unit exponential), plus arrays over
     num_fas x trained ports. Arithmetic only: it builds nothing of the
     size it estimates.
@@ -124,7 +132,6 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
 
     # interferer positions, shared by every port and candidate in a trial
     radius = NEAR_FIELD_RATIO * rho
-    far_mean = mean_interference(radius, net)
     counts = rng.poisson(lam * math.pi * (radius**2 - rho**2))
     total = int(counts.sum())
     trial_idx = np.repeat(np.arange(n), counts)
@@ -141,6 +148,14 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
         path_gain = sq ** np.float32(-0.5 * a)
     del sq
 
+    # far field: half its Campbell variance comes from the positions and
+    # is drawn once per trial, half from the fades and drawn per sum
+    far_mean = mean_interference(radius, net)
+    far_var = campbell_variance(radius ** (2.0 - 2.0 * a), net)
+    far_shape = far_mean**2 / (2.0 * far_var)
+    far_scale = far_var / far_mean
+    far_shared = rng.gamma(far_shape, far_scale)
+
     # correlated true channels at the trained ports
     g = sample_correlated_channels(rng, cfg, sigma_sq, n, ports)
     scale = math.sqrt(0.5)
@@ -148,9 +163,10 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
     def faded_sums():
         fades = rng.standard_exponential(total, dtype=np.float32)
         fades *= path_gain
-        return sigma_sq * np.bincount(
-            trial_idx, weights=fades, minlength=n
-        ) + far_mean
+        sums = sigma_sq * np.bincount(trial_idx, weights=fades, minlength=n)
+        sums += far_shared
+        sums += rng.gamma(far_shape, far_scale)
+        return sums
 
     err = error_variance_at(r_ports, budget.pilot_length, net)  # (n, j)
     if plan.faithful_pilots:

@@ -1,14 +1,20 @@
-"""Regenerate ``tests/reference/far_field.json``, the exact-field outages.
+"""Fill in ``tests/reference/far_field.json``, the exact-field outages.
 
 The Monte Carlo engine samples the interferer field exactly within
-``mc.NEAR_FIELD_RATIO`` times the serving distance and adds the Campbell
-mean of the rest. Each reference here reruns the same engine with that
-ratio raised until the Campbell term carries only ``TAIL_FRACTION``
-(1e-4) of the mean interference, TAIL_FRACTION^(1/(2 - a)) (100 at
-a = 4). At a = 3 that radius would be 10^4 serving distances, far too
-many points to sample, so the case names a reference ratio of its own.
+``mc.NEAR_FIELD_RATIO`` times the serving distance and draws the rest
+from Gamma laws matched to its Campbell mean and variance. Each
+reference here reruns the same engine with that ratio raised until the
+far field carries only ``TAIL_FRACTION`` (1e-4) of the mean
+interference, TAIL_FRACTION^(1/(2 - a)) (100 at a = 4). Below a = 4
+that radius would be 10^4 serving distances or more, far too many
+points to sample, so those cases name a reference ratio of their own.
 
-Run from the repository root (about ten minutes on one core):
+A case already in the file keeps its entry as it is, so only new cases
+run; delete an entry to regenerate it. The first five were made when
+the far field entered through its Campbell mean alone, and at their
+radii (1e-4 of the mean beyond, 2.5% for ``dense-a3``) they stand for
+the exact field. Run from the repository root (about two minutes per
+case at ratio 100 on one core, ten for the first five):
 
     PYTHONPATH=src python tests/make_far_field_reference.py
 
@@ -48,10 +54,14 @@ CASES = (
     {"name": "sparse", "array": "stock", "bs_density": 1e-5},
     {"name": "desk-faithful", "array": "desk", "bs_density": 5e-5,
      "faithful_pilots": True},
-    # interference-limited, so the far field's share of the mean (10%
-    # beyond ten serving distances at a = 3) moves the outage visibly
+    # interference-limited, so the far field's share of the mean (25%
+    # beyond four serving distances at a = 3) moves the outage visibly
     {"name": "dense-a3", "array": "stock", "bs_density": 1e-3,
      "path_loss_exponent": 3.0, "reference_ratio": 40.0},
+    # half the mean lies beyond four serving distances at a = 2.5, and
+    # still 10% beyond the reference radius, where the Gamma laws carry it
+    {"name": "dense-a2.5", "array": "stock", "bs_density": 1e-3,
+     "path_loss_exponent": 2.5, "reference_ratio": 100.0},
 )
 
 
@@ -76,9 +86,16 @@ def reference_ratio(case):
 
 def main():
     shipped = mc.NEAR_FIELD_RATIO
+    done = {}
+    if REFERENCE.exists():
+        done = {row["name"]: row
+                for row in json.loads(REFERENCE.read_text(encoding="utf-8"))}
     rows = []
     try:
         for key, case in enumerate(CASES):
+            if case["name"] in done:
+                rows.append(done[case["name"]])
+                continue
             ratio = reference_ratio(case)
             mc.NEAR_FIELD_RATIO = ratio
             start = time.perf_counter()

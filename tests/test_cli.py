@@ -126,12 +126,42 @@ class TestLoadConfig:
             ("coherence_time = 0", "coherence_time"),
             ("ports_per_fa = 0", None),
             ("seed = -1", "seed"),
+            ("bs_density = nan", "bs_density must be finite"),
+            ("bs_density = inf", "bs_density must be finite"),
+            ("path_loss_exponent = nan", "path_loss_exponent must be finite"),
+            ("path_loss_exponent = inf", "path_loss_exponent must be finite"),
+            ("noise_power = nan", "noise_power must be finite"),
+            ("noise_power = inf", "noise_power must be finite"),
+            ("channel_variance = nan", "channel_variance must be finite"),
+            ("channel_variance = inf", "channel_variance must be finite"),
+            ("tx_power = inf", "tx_power must be finite"),
+            ("rate = inf", "rate must be nonnegative and finite"),
+            ("coherence_bandwidth = inf", "coherence_bandwidth"),
+            ("coherence_time = inf", "coherence_time"),
+            ("wavelength = nan", "wavelength"),
+            ("aperture_wavelengths = inf", "aperture_wavelengths"),
+            ("charge = inf", "charge"),
         ],
     )
     def test_semantic_validation(self, tmp_path, line, match):
         path = write_config(tmp_path, line + "\n")
         with pytest.raises(ConfigError, match=match):
             load_config(path)
+
+    @pytest.mark.parametrize("line", ["tx_power = inf", "rate = inf"])
+    def test_non_finite_value_exits_2_before_any_point(
+        self, tmp_path, caplog, line
+    ):
+        # both once ran every point and wrote numbers with exit 0
+        out = tmp_path / "rows.csv"
+        code = main([
+            "--config", write_config(tmp_path, line + "\n"),
+            "--sweep", "bs-density=5e-5:1e-4:2",
+            "--engines", "analytic,monte-carlo", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        assert "must be" in caplog.text
 
     @pytest.mark.parametrize("key, value", [
         ("target_variance", 1.0),

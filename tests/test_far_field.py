@@ -1,11 +1,12 @@
 """Far-field equivalence gate for the Monte Carlo field sampler.
 
 The engine samples interferers exactly within ``mc.NEAR_FIELD_RATIO``
-serving distances and replaces the rest by its Campbell mean. Each case
-here reruns the shipped ratio on fresh seeds and must land within three
-combined standard errors of a reference from the same engine with the
-exact field radius, stored in ``reference/far_field.json`` and
-regenerated by ``make_far_field_reference.py``.
+serving distances and draws the rest from Gamma laws matched to its
+Campbell mean and variance. Each case here reruns the shipped ratio on
+fresh seeds and must land within three combined standard errors of a
+reference from the same engine with the exact field radius, stored in
+``reference/far_field.json`` and filled in by
+``make_far_field_reference.py``.
 """
 
 import json

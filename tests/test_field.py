@@ -9,6 +9,7 @@ from scipy import stats
 
 from fluidcell.field import (
     NetworkConfig,
+    campbell_variance,
     gamma_interference_model,
     mean_interference,
     sample_serving_distance,
@@ -142,6 +143,29 @@ class TestSampleInterferers:
         assert abs(expected - mean_interference(r0, net)) <= (
             1e-4 * mean_interference(r0, net) * (1.0 + 1e-9)
         )
+
+    def test_campbell_variance_of_faded_sum(self):
+        # Var[sum sigma^2 h r^-a] over the annulus with Rayleigh power
+        # fades h ~ Exp(1), whose second moment 2 the formula carries;
+        # sigma^2 = 2 and a = 3 so neither sigma^4 nor 2a - 2 is 1
+        rng = np.random.default_rng(42)
+        lam, r0 = 1e-4, 40.0
+        outer = 10.0 * r0
+        net = NetworkConfig(bs_density=lam, path_loss_exponent=3.0,
+                            channel_variance=2.0)
+        expected = (campbell_variance(r0**-4.0, net)
+                    - campbell_variance(outer**-4.0, net))
+        sums = np.array([
+            net.channel_variance * np.sum(
+                rng.standard_exponential(r.size) * r**-3.0)
+            for r in (sample_annulus(rng, lam, r0, outer)
+                      for _ in range(20000))
+        ])
+        var = np.var(sums, ddof=1)
+        fourth = np.mean((sums - sums.mean()) ** 4)
+        se = math.sqrt((fourth - var**2) / sums.size)
+        assert se < 0.05 * expected
+        assert abs(var - expected) < 3.0 * se
 
     def test_rejects_inverted_annulus(self):
         rng = np.random.default_rng(0)
