@@ -220,7 +220,7 @@ def _conditional_rician_integrals(mu, taus, spread, limits, spec):
     )
 
 
-def joint_magnitude_cdf(taus, profile, spec=None):
+def joint_magnitude_cdf(taus, profile, spec=QuadratureSpec()):
     """P(every trained port's estimated magnitude is below its threshold).
 
     Conditioning on the first port's magnitude makes the remaining ports
@@ -235,8 +235,6 @@ def joint_magnitude_cdf(taus, profile, spec=None):
     more than 2**13 (row, port) pairs run as several such groups, so
     memory stays bounded.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     taus = np.asarray(taus, dtype=float)
     mu = profile.mu
     spread = profile.spread_variance

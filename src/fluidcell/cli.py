@@ -11,12 +11,13 @@ Cells of engines that were not requested stay empty; a cell whose
 engine raised is written as ``error`` and the process exits nonzero
 after finishing the remaining grid points. A grid value outside its
 parameter's domain (say a nonpositive density) is a config error
-instead: exit code 2 before any point runs, as is a sweep whose Monte
-Carlo chunks, over the grid points run at once, would need more than a
-fixed memory budget. For ``target-variance`` sweeps the analytic
-column carries the minimum skip count that meets the target error
-variance at the typical serving distance 1/sqrt(pi*density) (evaluated
-at the first port), not an outage.
+instead: exit code 2 before any point runs, as is a grid of more than
+1000 values or a sweep whose Monte Carlo chunks, over the grid points
+run at once, would need more than a fixed memory budget. For
+``target-variance`` sweeps the analytic column carries the minimum skip
+count that meets the target error variance at the typical serving
+distance 1/sqrt(pi*density) (evaluated at the first port), not an
+outage.
 """
 
 from __future__ import annotations
@@ -42,13 +43,7 @@ from .geometry import (
     build_frame_budget,
     trained_port_indices,
 )
-from .mc import (
-    WORKERS_ENV,
-    TrialPlan,
-    chunk_bytes,
-    estimate_outage,
-    worker_count,
-)
+from .mc import TrialPlan, chunk_bytes, estimate_outage
 from .outage import averaged_outage_bounds, outage_probability, sinr_threshold
 
 __all__ = [
@@ -62,6 +57,9 @@ __all__ = [
 ]
 
 log = logging.getLogger("fluidcell")
+
+# grid points a sweep runs at once; unset means the machine's core count
+WORKERS_ENV = "FLUIDCELL_WORKERS"
 
 # sweep parameter -> (RunConfig part, or None for RunConfig itself,
 # field, cast of the grid value)
@@ -85,29 +83,32 @@ CSV_COLUMNS = ("sweep_value",
                *(c for columns in _ENGINE_COLUMNS.values() for c in columns),
                "wall_ms")
 _ANALYTIC_MODES = ("common-gamma", "per-port-gamma")
-PRESETS = ("fig3", "fig4", "fig5", "fig6", "fig7")
+# figure -> its sweep; the engines default to analytic and Monte Carlo
+_PRESETS = {
+    # transmit power 0..60 dBm in 4 dB steps, applied in watts
+    "fig3": dict(parameter="tx-power", grid=tuple(
+        10.0 ** ((dbm - 30.0) / 10.0) for dbm in range(0, 61, 4))),
+    "fig4": dict(parameter="num-fas", grid=range(1, 8)),
+    "fig5": dict(parameter="ports-per-fa", grid=range(2, 31)),
+    "fig6": dict(parameter="bs-density", grid=np.logspace(-6.0, -3.0, 13)),
+    "fig7": dict(parameter="target-variance",
+                 grid=np.linspace(0.1, 0.9, 17), engines=("analytic",)),
+}
+PRESETS = tuple(_PRESETS)
+# longest grid a sweep may ask for; every preset has at most 29 points
+_MAX_GRID_POINTS = 1000
 
 # ceiling on the Monte Carlo chunk memory of the grid points a sweep runs
 # at once; every preset needs at most ~0.8 GB even with all its points
 # running together
 _MEMORY_BUDGET = 2 * 2**30
 
-# stock values; every key can be overridden in the config file
+# stock values; every key can be overridden in the config file. The
+# network, array and fluid values are their dataclasses' field defaults.
 _DEFAULTS = {
-    "bs_density": 5e-5,            # BSs per m^2
-    "path_loss_exponent": 4.0,
-    "tx_power": 1.0,               # W (30 dBm)
-    "noise_power": 1e-5,
-    "channel_variance": 1.0,
-    "num_fas": 4,
-    "ports_per_fa": 15,
-    "skipped_ports": 1,
-    "aperture_wavelengths": 0.2,
-    "wavelength": 0.06,            # m
-    "charge": 0.07,                # V
-    "viscosity": 0.002,            # Pa s
-    "thickness_to_length": 0.2,
-    "voltage_delta": 10.0,         # V
+    **{f.name: f.default
+       for cls in (NetworkConfig, FaArrayConfig, FluidParams)
+       for f in fields(cls)},
     "coherence_bandwidth": 1e8,    # Hz
     "coherence_time": 0.05,        # s
     "estimation_fraction": 0.16,
@@ -164,9 +165,7 @@ class RunConfig:
             self.estimation_fraction,
         )
 
-    def target(self, budget=None):
-        if budget is None:
-            budget = self.budget()
+    def target(self, budget):
         return sinr_threshold(self.rate, budget)
 
     def describe(self):
@@ -199,6 +198,11 @@ class SweepSpec:
         grid = tuple(float(v) for v in self.grid)
         if not grid:
             raise ConfigError("sweep grid must be nonempty")
+        if len(grid) > _MAX_GRID_POINTS:
+            raise ConfigError(
+                f"sweep grid has {len(grid)} points, more than the "
+                f"{_MAX_GRID_POINTS} allowed"
+            )
         diffs = [b - a for a, b in zip(grid, grid[1:])]
         if diffs and not (all(d > 0 for d in diffs)
                           or all(d < 0 for d in diffs)):
@@ -341,16 +345,18 @@ def _compute_point(index, value, spec, base, mode):
     try:
         cfg = _apply_sweep_value(base, spec.parameter, value)
         budget = cfg.budget()
+        target = (None if spec.parameter == "target-variance"
+                  else cfg.target(budget))
     except Exception as exc:
         for engine in spec.engines:
             fail(engine, _ENGINE_COLUMNS[engine], exc)
     else:
-        _run_engines(run, index, spec, cfg, budget, mode)
+        _run_engines(run, index, spec, cfg, budget, target, mode)
     row["wall_ms"] = f"{(time.perf_counter() - started) * 1e3:.3f}"
     return row, failures
 
 
-def _run_engines(run, index, spec, cfg, budget, mode):
+def _run_engines(run, index, spec, cfg, budget, target, mode):
     """Fill one point's cells through ``run(engine, columns, compute)``."""
     if spec.parameter == "target-variance":
         # design-rule sweep: the analytic column carries the minimum
@@ -370,7 +376,6 @@ def _run_engines(run, index, spec, cfg, budget, mode):
         ])
         return
 
-    target = cfg.target(budget)
     if "analytic" in spec.engines:
         for name, column in zip(_ANALYTIC_MODES, _ENGINE_COLUMNS["analytic"]):
             if mode in ("both", name):
@@ -387,7 +392,7 @@ def _run_engines(run, index, spec, cfg, budget, mode):
         run("monte-carlo", _ENGINE_COLUMNS["monte-carlo"],
             lambda: estimate_outage(
                 cfg.plan, cfg.array, cfg.network, budget, target,
-                workers=1, stream_key=(index,),
+                stream_key=(index,),
             ))
 
 
@@ -402,6 +407,23 @@ def _check_memory(configs, concurrent):
             f"{_MEMORY_BUDGET / 2**20:.0f} MiB budget; lower chunk_size, "
             f"trials or ports_per_fa, or {WORKERS_ENV}"
         )
+
+
+def _worker_count():
+    """Grid points run at once: ``FLUIDCELL_WORKERS``, else the core count.
+
+    Values below one mean one; a value that is not an integer is a
+    :class:`ConfigError`.
+    """
+    text = os.environ.get(WORKERS_ENV, "").strip()
+    if not text:
+        return os.cpu_count() or 1
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise ConfigError(
+            f"{WORKERS_ENV} must be an integer, got {text!r}"
+        ) from None
 
 
 def run_sweep(spec, base, mode="both"):
@@ -425,7 +447,7 @@ def run_sweep(spec, base, mode="both"):
             configs.append(_apply_sweep_value(base, spec.parameter, value))
         except ValueError as exc:
             raise ConfigError(f"{spec.parameter}={value:g}: {exc}") from exc
-    workers = worker_count(default=os.cpu_count() or 1)
+    workers = _worker_count()
     _check_memory(configs, min(workers, len(spec.grid)))
 
     def point(args):
@@ -458,34 +480,12 @@ def write_rows(rows, path):
 
 def figure_preset(name, **overrides):
     """Sweep matching one of the stock figures; overrides win."""
-    if name == "fig3":
-        # transmit power 0..60 dBm in 4 dB steps, applied in watts
-        grid = tuple(10.0 ** ((dbm - 30.0) / 10.0)
-                     for dbm in range(0, 61, 4))
-        spec = dict(parameter="tx-power", grid=grid,
-                    engines=("analytic", "monte-carlo"))
-    elif name == "fig4":
-        spec = dict(parameter="num-fas",
-                    grid=tuple(float(m) for m in range(1, 8)),
-                    engines=("analytic", "monte-carlo"))
-    elif name == "fig5":
-        spec = dict(parameter="ports-per-fa",
-                    grid=tuple(float(n) for n in range(2, 31)),
-                    engines=("analytic", "monte-carlo"))
-    elif name == "fig6":
-        grid = tuple(float(v) for v in np.logspace(-6.0, -3.0, 13))
-        spec = dict(parameter="bs-density", grid=grid,
-                    engines=("analytic", "monte-carlo"))
-    elif name == "fig7":
-        spec = dict(parameter="target-variance",
-                    grid=tuple(float(v) for v in np.linspace(0.1, 0.9, 17)),
-                    engines=("analytic",))
-    else:
+    if name not in _PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; valid presets: {', '.join(PRESETS)}"
         )
-    spec.update(overrides)
-    return SweepSpec(**spec)
+    return SweepSpec(**{"engines": ("analytic", "monte-carlo"),
+                        **_PRESETS[name], **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +505,10 @@ def _parse_sweep_flag(text):
         ) from None
     if steps < 1:
         raise ConfigError("--sweep needs at least one step")
+    if steps > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"--sweep allows at most {_MAX_GRID_POINTS} steps, got {steps}"
+        )
     if steps == 1:
         grid = (start,)
     else:
@@ -557,9 +561,9 @@ def main(argv=None):
         overrides = {k: v for k, v in overrides.items() if v is not None}
         try:
             base = replace(base, plan=replace(base.plan, **overrides))
-            worker_count()  # a bad FLUIDCELL_WORKERS fails before any point
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        _worker_count()  # a bad FLUIDCELL_WORKERS fails before any point
 
         engines = None
         if args.engines:

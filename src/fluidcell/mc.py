@@ -26,7 +26,6 @@ worker pool only changes wall time.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,12 +42,9 @@ from .geometry import link_distance, port_displacement, trained_port_indices
 __all__ = [
     "TrialPlan",
     "chunk_bytes",
-    "worker_count",
     "estimate_outage",
     "estimate_lmmse_mse",
 ]
-
-WORKERS_ENV = "FLUIDCELL_WORKERS"
 
 # exact-sampling radius over the serving distance; the far field beyond
 # enters through Gamma draws matched to its Campbell mean and variance
@@ -220,32 +216,14 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
     return int((sinr.max(axis=1) < target.threshold).sum())
 
 
-def worker_count(workers=None, default=1):
-    """Pool size: ``workers``, else ``FLUIDCELL_WORKERS``, else ``default``.
-
-    Values below one mean one. Raises ``ValueError`` when the
-    environment variable is set but is not an integer.
-    """
-    if workers is None:
-        text = os.environ.get(WORKERS_ENV, "").strip()
-        if not text:
-            return default
-        try:
-            workers = int(text)
-        except ValueError:
-            raise ValueError(
-                f"{WORKERS_ENV} must be an integer, got {text!r}"
-            ) from None
-    return max(1, int(workers))
-
-
-def estimate_outage(plan, cfg, net, budget, target, workers=None,
+def estimate_outage(plan, cfg, net, budget, target, workers=1,
                     stream_key=()):
     """Outage probability and its binomial standard error.
 
-    Chunk boundaries and per-chunk streams depend only on the plan and
-    ``stream_key``, and the outage count is an integer sum, so the
-    result is bit-identical for every worker count.
+    ``workers`` chunks run at once on a thread pool. Chunk boundaries
+    and per-chunk streams depend only on the plan and ``stream_key``,
+    and the outage count is an integer sum, so the result is
+    bit-identical for every worker count.
     """
     n = plan.num_trials
     chunk = plan.chunk_size
@@ -256,11 +234,10 @@ def estimate_outage(plan, cfg, net, budget, target, workers=None,
         rng = _chunk_rng(plan.seed, stream_key, index)
         return _simulate_chunk(rng, size, cfg, net, budget, target, plan)
 
-    pool = worker_count(workers)
-    if pool <= 1 or n_chunks == 1:
+    if workers <= 1 or n_chunks == 1:
         count = sum(one(i) for i in range(n_chunks))
     else:
-        with ThreadPoolExecutor(max_workers=pool) as ex:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             count = sum(ex.map(one, range(n_chunks)))
 
     p = count / n

@@ -282,7 +282,7 @@ def _gl_panels(f, rows, lo, hi):
     return (half * np.fromiter(dots, float, count=len(half))).tolist()
 
 
-def integrate_finite_with_error(f, a, b, spec=None):
+def integrate_finite_with_error(f, a, b, spec=QuadratureSpec()):
     """Adaptive Gauss-Legendre integration of ``f`` over [a, b].
 
     ``f`` must accept a one-dimensional ndarray of nodes and return the
@@ -308,8 +308,6 @@ def integrate_finite_with_error(f, a, b, spec=None):
     other rows still run to the end; the error reports the lowest
     numbered row that failed, with that row's estimate and error.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     batched = np.ndim(a) > 0 or np.ndim(b) > 0
     lows, highs = np.broadcast_arrays(
         np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -403,7 +401,7 @@ def integrate_finite_with_error(f, a, b, spec=None):
     return values[0], errors[0]
 
 
-def integrate_finite(f, a, b, spec=None):
+def integrate_finite(f, a, b, spec=QuadratureSpec()):
     """Integral of ``f`` over [a, b] to the tolerances in ``spec``.
 
     Accepts the batched form of :func:`integrate_finite_with_error`.

@@ -32,6 +32,7 @@ __all__ = [
     "conditional_outage",
     "conditional_outage_bounds",
     "outage_probability",
+    "averaged_outage_bounds",
 ]
 
 # Serving-distance mass ignored by the truncated outer integral; the
@@ -69,7 +70,13 @@ def sinr_threshold(rate, budget):
     if rate < 0.0:
         raise ValueError("rate must be nonnegative")
     data_fraction = budget.data_uses / budget.total_uses
-    threshold = 2.0 ** (rate / data_fraction) - 1.0
+    try:
+        threshold = 2.0 ** (rate / data_fraction) - 1.0
+    except OverflowError:
+        raise ValueError(
+            f"rate {rate:g} over the data share {data_fraction:.4g} needs "
+            "an SINR threshold beyond floating-point range"
+        ) from None
     return RateTarget(
         rate=float(rate),
         threshold=float(threshold),
@@ -106,7 +113,7 @@ def outage_thresholds(rho, interference, cfg, net, budget, target):
 
 
 def conditional_outage(rho, interference, cfg, net, budget, target,
-                       spec=None):
+                       spec=QuadratureSpec()):
     """Outage probability of one antenna given distance and interference.
 
     The antenna is in outage when every trained port's estimated power
@@ -246,7 +253,7 @@ def _distance_averaged(conditional, tags, anchor, net, spec):
     )
 
 
-def outage_probability(cfg, net, budget, target, spec=None,
+def outage_probability(cfg, net, budget, target, spec=QuadratureSpec(),
                        mode="common-gamma"):
     """Network outage probability averaged over distance and interference.
 
@@ -259,8 +266,6 @@ def outage_probability(cfg, net, budget, target, spec=None,
     shared interference draw; it is kept for comparison. Its per-port
     integrals run as one batch.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if mode not in ("common-gamma", "per-port-gamma"):
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -287,7 +292,8 @@ def outage_probability(cfg, net, budget, target, spec=None,
     return product ** cfg.num_fas
 
 
-def averaged_outage_bounds(mu_common, cfg, net, budget, target, spec=None):
+def averaged_outage_bounds(mu_common, cfg, net, budget, target,
+                           spec=QuadratureSpec()):
     """Closed-form outage bracket averaged over distance and interference.
 
     Averaging the conditional bracket over the shared interference draw
@@ -297,8 +303,6 @@ def averaged_outage_bounds(mu_common, cfg, net, budget, target, spec=None):
     product-to-sum step the conditional bracket itself rests on). The
     two sides run as one batch.
     """
-    if spec is None:
-        spec = QuadratureSpec()
 
     def conditional(sides, rhos, gammas):
         return np.array([

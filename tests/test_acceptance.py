@@ -49,8 +49,7 @@ from fluidcell import (
     sinr_threshold,
     trained_port_indices,
 )
-from fluidcell.cli import main
-from fluidcell.mc import WORKERS_ENV
+from fluidcell.cli import WORKERS_ENV, main
 from conftest import COHERENCE_BANDWIDTH, COHERENCE_TIME, ESTIMATION_FRACTION
 from oracles import (
     erf_quadrature,

@@ -12,20 +12,23 @@ import pytest
 
 import fluidcell
 from fluidcell.cli import (
+    _MAX_GRID_POINTS,
     _MEMORY_BUDGET,
     CSV_COLUMNS,
     PRESETS,
+    WORKERS_ENV,
     ConfigError,
     SweepSpec,
     _apply_sweep_value,
     _parse_sweep_flag,
+    _worker_count,
     default_config,
     figure_preset,
     load_config,
     main,
     run_sweep,
 )
-from fluidcell.mc import WORKERS_ENV, chunk_bytes
+from fluidcell.mc import chunk_bytes
 
 
 @pytest.fixture(autouse=True)
@@ -232,6 +235,12 @@ class TestSweepSpec:
                 engines=("analytic", "monte-carlo"),
             )
 
+    def test_rejects_grid_past_the_cap(self):
+        grid = range(1, _MAX_GRID_POINTS + 1)
+        assert len(SweepSpec(parameter="tx-power", grid=grid).grid) == len(grid)
+        with pytest.raises(ConfigError, match="more than the"):
+            SweepSpec(parameter="tx-power", grid=range(1, len(grid) + 2))
+
 
 class TestParseSweepFlag:
     def test_linear_grid(self):
@@ -244,7 +253,8 @@ class TestParseSweepFlag:
         assert grid == (2.0,)
 
     @pytest.mark.parametrize(
-        "text", ["tx-power=1:2", "tx-power", "tx-power=a:b:3", "p=1:2:0"]
+        "text", ["tx-power=1:2", "tx-power", "tx-power=a:b:3", "p=1:2:0",
+                 f"tx-power=1:2:{_MAX_GRID_POINTS + 1}"]
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ConfigError):
@@ -395,6 +405,28 @@ class TestMain:
         assert float(rows[0]["outage_analytic_common"]) > 0.0
         assert rows[1]["outage_analytic_common"] == "error"
 
+    def test_overflowing_rate_marks_cells_and_exit_code(
+        self, tmp_path, caplog
+    ):
+        # 2^(2000 / 0.84) overflows a float; this once escaped as a
+        # traceback with no CSV written
+        cfg = write_config(tmp_path, "rate = 2000\n")
+        out = str(tmp_path / "rows.csv")
+        code = main([
+            "--config", cfg, "--sweep", "tx-power=1:2:2",
+            "--engines", "analytic", "--out", out,
+        ])
+        assert code == 1
+        rows = read_rows(out)
+        assert [row["outage_analytic_common"] for row in rows] == [
+            "error", "error"]
+        assert rows[0]["outage_analytic_perport"] == "error"
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 3
+        assert all("analytic: rate 2000" in e for e in errors[:2])
+        assert errors[2] == "2 grid point engine(s) failed"
+
     @pytest.mark.parametrize("sweep, match", [
         ("bs-density=0:1e-4:2", "bs-density=0: bs_density must be positive"),
         ("tx-power=-1:1:2", "tx-power=-1: tx_power and noise_power"),
@@ -508,6 +540,20 @@ class TestMain:
         assert f"{WORKERS_ENV} must be an integer, got 'abc'" in caplog.text
 
 
+class TestWorkerCount:
+    def test_environment_then_core_count(self, monkeypatch):
+        assert _worker_count() == (os.cpu_count() or 1)
+        monkeypatch.setenv(WORKERS_ENV, " 3 ")
+        assert _worker_count() == 3
+        monkeypatch.setenv(WORKERS_ENV, "0")
+        assert _worker_count() == 1
+
+    def test_non_integer_environment_is_a_clear_error(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "abc")
+        with pytest.raises(ConfigError, match=f"{WORKERS_ENV}.*'abc'"):
+            _worker_count()
+
+
 # =====================================================================
 # memory guard
 # =====================================================================
@@ -603,30 +649,50 @@ class TestMemoryGuard:
         # without the guard the child would ask for gigabytes and fail
         # with MemoryError here, not exhaust the machine
         cfg = write_config(tmp_path, "chunk_size = 1000000000\n")
-        script = (
-            "import resource, sys\n"
-            "limit = 2 * 2**30\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
-            "from fluidcell.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.dirname(os.path.dirname(fluidcell.__file__))]
-            + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            env[var] = "1"
-        env.pop(WORKERS_ENV, None)
-        done = subprocess.run(
-            [sys.executable, "-c", script, "--config", cfg,
-             "--trials", "1000000000", "--sweep", "tx-power=1.0:1.0:1",
-             "--engines", "monte-carlo", "--out", str(tmp_path / "rows.csv")],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 2, done.stderr
-        assert "MemoryError" not in done.stderr
-        errors = [line for line in done.stderr.splitlines()
-                  if line.startswith("ERROR")]
+        errors = _main_under_address_limit([
+            "--config", cfg, "--trials", "1000000000",
+            "--sweep", "tx-power=1.0:1.0:1", "--engines", "monte-carlo",
+            "--out", str(tmp_path / "rows.csv"),
+        ])
         assert len(errors) == 1 and "MiB budget" in errors[0]
+
+    def test_huge_step_count_exits_2_under_an_address_space_limit(
+        self, tmp_path
+    ):
+        # a billion steps once went to np.linspace, over 8 GB, before
+        # any check; never run this without the limit
+        errors = _main_under_address_limit([
+            "--sweep", "tx-power=1:2:1000000000", "--engines", "analytic",
+            "--out", str(tmp_path / "rows.csv"),
+        ])
+        assert len(errors) == 1 and "at most" in errors[0]
+        assert not (tmp_path / "rows.csv").exists()
+
+
+def _main_under_address_limit(argv):
+    """ERROR lines of ``main(argv)`` run in a child limited to 2 GiB of
+    address space; asserts the child exited 2 without a MemoryError."""
+    script = (
+        "import resource, sys\n"
+        "limit = 2 * 2**30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from fluidcell.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(fluidcell.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env.pop(WORKERS_ENV, None)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "MemoryError" not in done.stderr
+    return [line for line in done.stderr.splitlines()
+            if line.startswith("ERROR")]

@@ -6,21 +6,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fluidcell.mc
 from fluidcell.channel import error_variance_at
-from fluidcell.field import NetworkConfig
+from fluidcell.field import NetworkConfig, campbell_variance, mean_interference
 from fluidcell.geometry import (
     FaArrayConfig,
     FluidParams,
     build_frame_budget,
     link_distance,
+    trained_port_indices,
 )
 from fluidcell.mc import (
-    WORKERS_ENV,
     TrialPlan,
     chunk_bytes,
     estimate_lmmse_mse,
     estimate_outage,
-    worker_count,
 )
 from fluidcell.outage import sinr_threshold
 
@@ -44,23 +44,6 @@ class TestTrialPlan:
         assert plan.seed == 0
         assert plan.chunk_size == 1024
         assert not plan.faithful_pilots
-
-
-class TestWorkerCount:
-    def test_argument_then_environment_then_default(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert worker_count() == 1
-        assert worker_count(default=6) == 6
-        monkeypatch.setenv(WORKERS_ENV, " 3 ")
-        assert worker_count(default=6) == 3
-        assert worker_count(2) == 2
-        monkeypatch.setenv(WORKERS_ENV, "0")
-        assert worker_count() == 1
-
-    def test_non_integer_environment_is_a_clear_error(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "abc")
-        with pytest.raises(ValueError, match=f"{WORKERS_ENV}.*'abc'"):
-            worker_count()
 
 
 class TestChunkBytes:
@@ -137,19 +120,18 @@ class TestEstimateOutage:
         }
         assert results[1] == results[2] == results[4]
 
-    def test_env_var_worker_pool(
+    def test_reads_no_worker_environment_variable(
         self, desk_cfg, stock_net, desk_budget, monkeypatch
     ):
+        # the pool size is the argument alone; FLUIDCELL_WORKERS belongs
+        # to the command line, which runs grid points at once
         target = sinr_threshold(1.0, desk_budget)
-        plan = TrialPlan(num_trials=2048, seed=11, chunk_size=512)
-        direct = estimate_outage(
-            plan, desk_cfg, stock_net, desk_budget, target, workers=1
-        )
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        pooled = estimate_outage(
-            plan, desk_cfg, stock_net, desk_budget, target
-        )
-        assert pooled == direct
+        plan = TrialPlan(num_trials=1024, seed=11, chunk_size=512)
+        direct = estimate_outage(plan, desk_cfg, stock_net, desk_budget,
+                                 target)
+        monkeypatch.setenv("FLUIDCELL_WORKERS", "not a number")
+        assert estimate_outage(plan, desk_cfg, stock_net, desk_budget,
+                               target) == direct
 
     def test_seed_and_stream_key_select_the_stream(
         self, desk_cfg, stock_net, desk_budget
@@ -227,6 +209,69 @@ class TestEstimateOutage:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert 0.0 <= p <= 1.0
+
+
+# =====================================================================
+# far-field law
+# =====================================================================
+
+
+class _GammaRecorder:
+    """A Generator whose ``gamma(shape, scale)`` calls are recorded."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def gamma(self, shape, scale):
+        self.calls.append((shape, scale))
+        return self._rng.gamma(shape, scale)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestFarFieldLaw:
+    @pytest.mark.parametrize("faithful", [False, True])
+    @pytest.mark.parametrize("exponent", [4.0, 3.0])
+    def test_gamma_draws_carry_half_the_campbell_moments(
+        self, desk_cfg, desk_budget, monkeypatch, exponent, faithful
+    ):
+        # the far field beyond NEAR_FIELD_RATIO serving distances enters
+        # as a shared plus a fresh Gamma draw per faded sum, each with
+        # half the Campbell mean and variance of that annulus
+        net = NetworkConfig(path_loss_exponent=exponent)
+        plan = TrialPlan(num_trials=64, faithful_pilots=faithful)
+        distances = []
+        sample = fluidcell.mc.sample_serving_distance
+
+        def serving_distance(*args, **kwargs):
+            distances.append(sample(*args, **kwargs))
+            return distances[-1]
+
+        monkeypatch.setattr(fluidcell.mc, "sample_serving_distance",
+                            serving_distance)
+        rng = _GammaRecorder(np.random.default_rng(3))
+        fluidcell.mc._simulate_chunk(
+            rng, plan.num_trials, desk_cfg, net, desk_budget,
+            sinr_threshold(1.0, desk_budget), plan,
+        )
+
+        (rho,) = distances
+        radius = fluidcell.mc.NEAR_FIELD_RATIO * rho
+        mean = mean_interference(radius, net)
+        variance = campbell_variance(radius ** (2.0 - 2.0 * exponent), net)
+        # one shared draw, then one per faded sum: a data-phase sum per
+        # antenna, and with explicit pilots one per antenna and port
+        sums = desk_cfg.num_fas
+        if faithful:
+            sums += desk_cfg.num_fas * len(trained_port_indices(desk_cfg))
+        assert len(rng.calls) == 1 + sums
+        for shape, scale in rng.calls:
+            np.testing.assert_allclose(2.0 * shape * scale, mean,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(2.0 * shape * scale**2, variance,
+                                       rtol=1e-12)
 
 
 # =====================================================================

@@ -88,6 +88,12 @@ class TestSinrThreshold:
         with pytest.raises(ValueError):
             sinr_threshold(-0.1, stock_budget)
 
+    def test_overflowing_threshold_names_the_rate(self, stock_budget):
+        # 2^(rate / 0.84) - 1 passes the float range near rate 860
+        sinr_threshold(850.0, stock_budget)
+        with pytest.raises(ValueError, match="rate 2000"):
+            sinr_threshold(2000.0, stock_budget)
+
     def test_rate_target_validation(self):
         with pytest.raises(ValueError, match="zero rate"):
             RateTarget(rate=1.0, threshold=0.0, data_fraction=0.84)
