@@ -4,6 +4,7 @@ Ports along one aperture see correlated fading; ports on different
 antennas are independent. Training happens on a strided subset of ports,
 and the linear MMSE estimate at each trained port carries a residual
 error variance set by the pilot length and the pilot-phase interference.
+Channels and error variances are in units of the channel variance.
 The joint law of the estimated magnitudes across trained ports drives
 the closed-form outage expressions.
 """
@@ -58,7 +59,6 @@ class CorrelationProfile:
 
     ports: tuple
     mu: np.ndarray
-    channel_variance: float
     spread_variance: np.ndarray
 
     def __post_init__(self):
@@ -73,7 +73,7 @@ class CorrelationProfile:
             raise ValueError("first trained port must carry zero correlation")
         if np.any(np.abs(mu) > 1.0):
             raise ValueError("correlations must lie in [-1, 1]")
-        if np.any(spread <= 0.0) or self.channel_variance <= 0.0:
+        if np.any(spread <= 0.0):
             raise ValueError("variances must be strictly positive")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "spread_variance", spread)
@@ -104,15 +104,15 @@ def pilot_noise_ratio(r, net):
     the pilot length by this ratio gives the post-combining pilot SNR.
     """
     r = np.asarray(r, dtype=float)
-    # the Campbell mean at r over the unit-power pilot gain sigma^2 r^(-a)
-    interference = campbell_mean(np.square(r), net) / net.channel_variance
+    # the Campbell mean at r over the unit-power pilot gain r^(-a)
+    interference = campbell_mean(np.square(r), net)
     return r**net.path_loss_exponent / net.transmit_snr + interference
 
 
 def error_variance_at(r, pilot_length, net):
     """LMMSE error variance at link distance ``r``; accepts arrays."""
     bracket = pilot_noise_ratio(r, net)
-    return net.channel_variance * bracket / (bracket + pilot_length)
+    return bracket / (bracket + pilot_length)
 
 
 def min_skipped_ports(target_variance, rho, i, cfg, params, net,
@@ -121,16 +121,13 @@ def min_skipped_ports(target_variance, rho, i, cfg, params, net,
     """Fewest skipped ports keeping the estimate error at the target.
 
     Closed-form design rule from the continuous relaxation of the frame
-    budget: strictly decreasing and convex in ``target_variance``.
+    budget: strictly decreasing and convex in ``target_variance``, a
+    share of the channel variance.
     Raises :class:`InfeasibleFrameError` when the frame cannot support
     even one pilot per port, i.e. the rule's denominator is nonpositive.
     """
-    sigma_sq = net.channel_variance
-    if not 0.0 < target_variance < sigma_sq:
-        raise ValueError(
-            "target_variance must lie strictly between 0 and the channel "
-            "variance"
-        )
+    if not 0.0 < target_variance < 1.0:
+        raise ValueError("target_variance must lie strictly in (0, 1)")
     if rho <= 0.0:
         raise ValueError("serving distance must be positive")
     total = round(coherence_bandwidth * coherence_time)
@@ -151,7 +148,7 @@ def min_skipped_ports(target_variance, rho, i, cfg, params, net,
             f"{hop_uses:.3e} uses per hop, {per_port:.3e} available"
         )
     bracket = float(pilot_noise_ratio(link_distance(i, rho, cfg), net))
-    return bracket / denominator * (sigma_sq / target_variance - 1.0)
+    return bracket / denominator * (1.0 / target_variance - 1.0)
 
 
 def correlation_profile(cfg, net, budget, rho):
@@ -166,13 +163,8 @@ def correlation_profile(cfg, net, budget, rho):
     mu = np.array([autocorrelation(p, cfg) for p in ports])
     r = link_distances(ports, rho, cfg)
     err = error_variance_at(r, budget.pilot_length, net)
-    sigma_sq = net.channel_variance
-    spread = sigma_sq * (1.0 - mu**2) + err
     return CorrelationProfile(
-        ports=ports,
-        mu=mu,
-        channel_variance=sigma_sq,
-        spread_variance=spread,
+        ports=ports, mu=mu, spread_variance=(1.0 - mu**2) + err
     )
 
 
@@ -298,9 +290,9 @@ def joint_magnitude_pdf(taus, profile):
     return float(density * np.prod(factors))
 
 
-def sample_correlated_channels(rng, cfg, channel_variance=1.0, size=None,
-                               ports=None):
-    """Complex channel draws for every antenna and each of ``ports``.
+def sample_correlated_channels(rng, cfg, size=None, ports=None):
+    """Unit-variance complex channel draws for every antenna and each of
+    ``ports``.
 
     ``ports`` holds 1-based indices starting at port 1 (default: every
     port). Returns shape ``(num_fas, len(ports))``, or ``(size, ...)``
@@ -321,7 +313,4 @@ def sample_correlated_channels(rng, cfg, channel_variance=1.0, size=None,
     anchor_re = re[..., :1]
     anchor_im = im[..., :1]
     w = np.sqrt(1.0 - mu**2)
-    sigma = math.sqrt(channel_variance)
-    return sigma * (
-        (w * re + mu * anchor_re) + 1j * (w * im + mu * anchor_im)
-    )
+    return (w * re + mu * anchor_re) + 1j * (w * im + mu * anchor_im)

@@ -138,7 +138,7 @@ class RunConfig:
     coherence_time: float        # s
     estimation_fraction: float   # share of the block spent training
     rate: float                  # bits per channel use
-    target_variance: float       # error-variance goal for skip sizing
+    target_variance: float       # error-variance goal, a share of sigma^2
     plan: TrialPlan
 
     def __post_init__(self):
@@ -150,11 +150,8 @@ class RunConfig:
             raise ValueError("estimation_fraction must lie strictly in (0, 1)")
         if not 0.0 <= self.rate < math.inf:
             raise ValueError("rate must be nonnegative and finite")
-        if not 0.0 < self.target_variance < self.network.channel_variance:
-            raise ValueError(
-                "target_variance must lie strictly between 0 and "
-                "channel_variance"
-            )
+        if not 0.0 < self.target_variance < 1.0:
+            raise ValueError("target_variance must lie strictly in (0, 1)")
 
     def budget(self):
         return build_frame_budget(
@@ -198,6 +195,8 @@ class SweepSpec:
         grid = tuple(float(v) for v in self.grid)
         if not grid:
             raise ConfigError("sweep grid must be nonempty")
+        if not all(map(math.isfinite, grid)):
+            raise ConfigError("sweep grid values must be finite")
         if len(grid) > _MAX_GRID_POINTS:
             raise ConfigError(
                 f"sweep grid has {len(grid)} points, more than the "
@@ -318,8 +317,8 @@ def _format(value):
     return f"{value:.12g}"
 
 
-def _compute_point(index, value, spec, base, mode):
-    """One grid point: returns (row dict, list of failure strings)."""
+def _compute_point(index, value, cfg, spec, mode):
+    """One grid point at ``cfg``: returns (row dict, failure strings)."""
     row = {column: "" for column in CSV_COLUMNS}
     row["sweep_value"] = _format(value)
     failures = []
@@ -343,7 +342,6 @@ def _compute_point(index, value, spec, base, mode):
             row.update((c, f"{v:.12g}") for c, v in zip(columns, values))
 
     try:
-        cfg = _apply_sweep_value(base, spec.parameter, value)
         budget = cfg.budget()
         target = (None if spec.parameter == "target-variance"
                   else cfg.target(budget))
@@ -441,19 +439,19 @@ def run_sweep(spec, base, mode="both"):
     """
     if mode not in ("both",) + _ANALYTIC_MODES:
         raise ConfigError(f"unknown analytic mode {mode!r}")
-    configs = [base]
+    configs = []
     for value in spec.grid:
         try:
             configs.append(_apply_sweep_value(base, spec.parameter, value))
         except ValueError as exc:
             raise ConfigError(f"{spec.parameter}={value:g}: {exc}") from exc
     workers = _worker_count()
-    _check_memory(configs, min(workers, len(spec.grid)))
+    _check_memory([base, *configs], min(workers, len(spec.grid)))
 
     def point(args):
-        return _compute_point(args[0], args[1], spec, base, mode)
+        return _compute_point(*args, spec, mode)
 
-    items = list(enumerate(spec.grid))
+    items = list(zip(range(len(configs)), spec.grid, configs))
     if workers <= 1 or len(items) == 1:
         results = [point(item) for item in items]
     else:
@@ -503,6 +501,8 @@ def _parse_sweep_flag(text):
         raise ConfigError(
             f"--sweep expects KEY=start:stop:steps, got {text!r}"
         ) from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError("--sweep start and stop must be finite")
     if steps < 1:
         raise ConfigError("--sweep needs at least one step")
     if steps > _MAX_GRID_POINTS:

@@ -7,6 +7,10 @@ moment-matched Gamma variable, built here on the field's Campbell mean.
 The Monte Carlo engine draws serving distances here, samples the near
 interferers itself, and draws the far field from its Campbell mean and
 variance.
+
+Every link shares the channel variance sigma^2, so channel draws,
+interference and error variances are in units of sigma^2, which enters
+only the transmit SNR and the noise floor N0 / sigma^2 of ``NetworkConfig``.
 """
 
 from __future__ import annotations
@@ -58,6 +62,11 @@ class NetworkConfig:
         """Channel variance times transmit power over noise power."""
         return self.channel_variance * self.tx_power / self.noise_power
 
+    @property
+    def noise_floor(self):
+        """Noise power in units of the channel variance, N0 / sigma^2."""
+        return self.noise_power / self.channel_variance
+
 
 @dataclass(frozen=True)
 class InterferenceModel:
@@ -82,8 +91,9 @@ def sample_serving_distance(rng, bs_density, size=None):
 def mean_interference(exclusion_radius, net):
     """Expected aggregate interference power past the exclusion radius.
 
-    Campbell average of gain * distance^(-a) over the annular field,
-    per unit transmit power; accepts numpy arrays, elementwise.
+    Campbell average of fade * distance^(-a) over the annular field,
+    per unit transmit power and in units of sigma^2; accepts numpy
+    arrays, elementwise.
     """
     if np.any(np.asarray(exclusion_radius) <= 0.0):
         raise ValueError("exclusion_radius must be positive")
@@ -100,8 +110,8 @@ def campbell_mean(decay, net):
     mean is wanted rescaled by r^a).
     """
     return (
-        2.0 * math.pi * net.bs_density * net.channel_variance
-        * decay / (net.path_loss_exponent - 2.0)
+        2.0 * math.pi * net.bs_density * decay
+        / (net.path_loss_exponent - 2.0)
     )
 
 
@@ -109,14 +119,14 @@ def campbell_variance(decay, net):
     """Campbell variance of the field past radius r, from ``decay`` =
     r^(2 - 2a).
 
-    Each interferer adds sigma^2 h r^(-a) with Rayleigh power fade h,
-    whose second moment is 2, so the variance is
-    2 sigma^4 * 2 pi lambda * r^(2 - 2a) / (2a - 2). Elementwise over
-    arrays, like ``campbell_mean``.
+    Each interferer adds h r^(-a) with Rayleigh power fade h, whose
+    second moment is 2, so the variance is
+    2 * 2 pi lambda * r^(2 - 2a) / (2a - 2). Elementwise over arrays,
+    like ``campbell_mean``.
     """
     return (
-        2.0 * net.channel_variance**2 * 2.0 * math.pi * net.bs_density
-        * decay / (2.0 * net.path_loss_exponent - 2.0)
+        2.0 * 2.0 * math.pi * net.bs_density * decay
+        / (2.0 * net.path_loss_exponent - 2.0)
     )
 
 
@@ -124,7 +134,7 @@ def gamma_interference_model(exclusion_radius, net):
     """Gamma surrogate for the aggregate interference at one radius.
 
     Shape and scale are fixed by matching the Campbell mean and the
-    adopted second moment 2 * variance^2 of a single faded term; the
+    adopted variance 2, the second moment of a single faded term; the
     resulting shape is typically far below one, concentrating nearly all
     probability mass at zero with a thin far tail.
 
@@ -140,7 +150,7 @@ def gamma_interference_model(exclusion_radius, net):
     decays = [r ** (2.0 - net.path_loss_exponent)
               for r in radii.reshape(-1).tolist()]
     mean = campbell_mean(np.array(decays), net)
-    variance = 2.0 * net.channel_variance**2
+    variance = 2.0
     shape, scale = mean**2 / variance, variance / mean
     if radii.ndim == 0:
         shape, scale, mean = float(shape[0]), float(scale[0]), float(mean[0])

@@ -165,7 +165,7 @@ def build_frame_budget(cfg, params, coherence_bandwidth, coherence_time,
     ``estimation_fraction`` is the share of the block reserved for
     training (pilots plus the motion needed to visit the trained ports).
     Raises :class:`InfeasibleFrameError` when switching alone eats the
-    training budget.
+    training budget or training leaves no channel use for data.
     """
     if coherence_bandwidth <= 0.0 or coherence_time <= 0.0:
         raise ValueError("coherence bandwidth and time must be positive")
@@ -179,6 +179,8 @@ def build_frame_budget(cfg, params, coherence_bandwidth, coherence_time,
     if estimation < 1:
         raise InfeasibleFrameError("estimation share below one channel use")
     data = total - estimation
+    if data < 1:
+        raise InfeasibleFrameError("data share below one channel use")
 
     count = len(trained_port_indices(cfg))
     if count != math.ceil(cfg.ports_per_fa / (cfg.skipped_ports + 1)):

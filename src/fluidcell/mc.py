@@ -6,6 +6,7 @@ ports, runs the two-stage port selection, and flags outage on the best
 candidate's SINR. Nothing here reuses the analytic averaging; agreement
 between the two paths is the package's core validation.
 
+Channels, interference and error variances are in units of sigma^2.
 The SINR charges the estimate's error through its variance, and each
 antenna's candidate sees fresh interferer fades over the trial's shared
 interferer positions. The field is sampled exactly, with independent
@@ -107,17 +108,16 @@ def _chunk_rng(seed, stream_key, chunk_index):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _lmmse_coefficient(err, amp, sigma_sq):
-    """LMMSE gain amp sigma^2 / (amp^2 sigma^2 + noise) on amp * g + noise,
-    written through the error variance ``err`` that the noise leaves."""
-    return (1.0 - err / sigma_sq) / amp
+def _lmmse_coefficient(err, amp):
+    """LMMSE gain amp / (amp^2 + noise) on amp * g + noise for a unit
+    variance g, through the error variance ``err`` that the noise leaves."""
+    return (1.0 - err) / amp
 
 
 def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
     """Simulate ``n`` trials; returns the outage count."""
     lam = net.bs_density
     a = net.path_loss_exponent
-    sigma_sq = net.channel_variance
     m = cfg.num_fas
     ports = trained_port_indices(cfg)
     j = len(ports)
@@ -153,13 +153,13 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
     far_shared = rng.gamma(far_shape, far_scale)
 
     # correlated true channels at the trained ports
-    g = sample_correlated_channels(rng, cfg, sigma_sq, n, ports)
+    g = sample_correlated_channels(rng, cfg, n, ports)
     scale = math.sqrt(0.5)
 
     def faded_sums():
         fades = rng.standard_exponential(total, dtype=np.float32)
         fades *= path_gain
-        sums = sigma_sq * np.bincount(trial_idx, weights=fades, minlength=n)
+        sums = np.bincount(trial_idx, weights=fades, minlength=n)
         sums += far_shared
         sums += rng.gamma(far_shape, far_scale)
         return sums
@@ -176,16 +176,16 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
         amp = np.sqrt(
             budget.pilot_length * net.tx_power / r_ports**a
         )  # (n, j)
-        coeff = _lmmse_coefficient(err, amp, sigma_sq)
-        noise_var = net.noise_power + net.tx_power * pilot_inter
+        coeff = _lmmse_coefficient(err, amp)
+        noise_var = net.noise_floor + net.tx_power * pilot_inter
         zre = rng.normal(0.0, scale, (n, m, j))
         zim = rng.normal(0.0, scale, (n, m, j))
         y = amp[:, None, :] * g + np.sqrt(noise_var) * (zre + 1j * zim)
         g_hat = coeff[:, None, :] * y
     else:
         # orthogonal split: the estimate and the error are uncorrelated,
-        # with the estimate carrying variance sigma^2 - sigma_e^2
-        c = 1.0 - err / sigma_sq
+        # with the estimate carrying variance 1 - sigma_e^2
+        c = 1.0 - err
         xre = rng.normal(0.0, scale, (n, m, j))
         xim = rng.normal(0.0, scale, (n, m, j))
         g_hat = c[:, None, :] * g + np.sqrt(c * err)[:, None, :] * (
@@ -257,12 +257,11 @@ def estimate_lmmse_mse(plan, cfg, net, budget, rho, port, stream_key=()):
         raise ValueError("estimate_lmmse_mse requires faithful_pilots=True")
     if rho <= 0.0:
         raise ValueError("serving distance must be positive")
-    sigma_sq = net.channel_variance
     r = link_distance(port, rho, cfg)
     amp = math.sqrt(budget.pilot_length * net.tx_power / r**net.path_loss_exponent)
-    floor = net.noise_power + net.tx_power * mean_interference(r, net)
+    floor = net.noise_floor + net.tx_power * mean_interference(r, net)
     err = error_variance_at(r, budget.pilot_length, net)
-    coeff = _lmmse_coefficient(err, amp, sigma_sq)
+    coeff = _lmmse_coefficient(err, amp)
 
     n = plan.num_trials
     chunk = plan.chunk_size
@@ -273,9 +272,7 @@ def estimate_lmmse_mse(plan, cfg, net, budget, rho, port, stream_key=()):
     for index in range(n_chunks):
         size = min(chunk, n - index * chunk)
         rng = _chunk_rng(plan.seed, stream_key, index)
-        g = math.sqrt(sigma_sq) * (
-            rng.normal(0.0, scale, size) + 1j * rng.normal(0.0, scale, size)
-        )
+        g = rng.normal(0.0, scale, size) + 1j * rng.normal(0.0, scale, size)
         z = math.sqrt(floor) * (
             rng.normal(0.0, scale, size) + 1j * rng.normal(0.0, scale, size)
         )

@@ -151,13 +151,11 @@ def conditional_outage_bounds(rho, interference, mu_common, cfg, net,
     if np.any(inter < 0.0):
         raise ValueError("interference must be nonnegative")
 
-    sigma_sq = net.channel_variance
     mu = abs(mu_common)
     # interference term of the pilot-noise ratio over a per-port pilot
     # share of data_uses / ports_per_fa
-    err = (campbell_mean(rho**2, net) / sigma_sq
-           * cfg.ports_per_fa / budget.data_uses)
-    spread = sigma_sq * (1.0 - mu**2) + err
+    err = campbell_mean(rho**2, net) * cfg.ports_per_fa / budget.data_uses
+    spread = (1.0 - mu**2) + err
     thetas = target.threshold * (rho**net.path_loss_exponent * inter + err)
     xi = thetas**2 / spread
 

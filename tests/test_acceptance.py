@@ -213,7 +213,6 @@ def test_criterion_04_joint_magnitude_law():
         profile = CorrelationProfile(
             ports=ports,
             mu=mu,
-            channel_variance=1.0,
             spread_variance=1.0 - mu**2 + err,
         )
         rng = np.random.default_rng(seed)
@@ -222,7 +221,7 @@ def test_criterion_04_joint_magnitude_law():
         counts = np.zeros(20)
         scale = math.sqrt(err / 2.0)
         for _ in range(10):
-            g = sample_correlated_channels(rng, cfg, 1.0, 100_000)[:, 0, :]
+            g = sample_correlated_channels(rng, cfg, 100_000)[:, 0, :]
             noise = (rng.normal(0.0, scale, g.shape)
                      + 1j * rng.normal(0.0, scale, g.shape))
             mags = np.abs(g + noise)
@@ -303,7 +302,7 @@ def test_criterion_06_conditional_outage_vs_mc():
         errs = error_variance_at(r, budget.pilot_length, net)
 
         rng = np.random.default_rng(61 + k)
-        g = sample_correlated_channels(rng, cfg, 1.0, draws)[:, 0, :][:, idx]
+        g = sample_correlated_channels(rng, cfg, draws)[:, 0, :][:, idx]
         scale = np.sqrt(errs / 2.0)
         noise = (rng.normal(0.0, 1.0, g.shape) * scale
                  + 1j * rng.normal(0.0, 1.0, g.shape) * scale)
@@ -393,8 +392,7 @@ def test_criterion_08_closed_form_bracket():
             mu = np.full(count, mu_common)
             mu[0] = 0.0
             profile = CorrelationProfile(
-                ports=ports, mu=mu, channel_variance=net.channel_variance,
-                spread_variance=spread,
+                ports=ports, mu=mu, spread_variance=spread,
             )
             # the bracket's algebra takes the thresholds as magnitudes
             quad = joint_magnitude_cdf(thetas, profile)

@@ -1,5 +1,6 @@
 """Tests for port correlation, LMMSE error, and the joint magnitude law."""
 
+import inspect
 import math
 
 import numpy as np
@@ -98,7 +99,7 @@ class TestPilotNoiseRatio:
         campbell = np.array([mean_interference(x, stock_net) for x in r])
         np.testing.assert_allclose(
             bracket - direct,
-            r**4 * campbell / stock_net.channel_variance,
+            r**4 * campbell,
             rtol=1e-12,
         )
 
@@ -120,7 +121,7 @@ class TestErrorVariance:
         r = np.geomspace(1.0, 1e4, 50)
         err = error_variance_at(r, 1e4, stock_net)
         assert np.all(err > 0.0)
-        assert np.all(err < stock_net.channel_variance)
+        assert np.all(err < 1.0)
 
     def test_monotone_in_distance_and_pilot_length(self, stock_net):
         r = np.linspace(10.0, 500.0, 40)
@@ -252,9 +253,7 @@ class TestCorrelationProfile:
                 link_distance(p, rho, stock_cfg), stock_budget.pilot_length,
                 stock_net,
             ))
-            expected = (
-                stock_net.channel_variance * (1.0 - profile.mu[k] ** 2) + err
-            )
+            expected = (1.0 - profile.mu[k] ** 2) + err
             np.testing.assert_allclose(
                 profile.spread_variance[k], expected, rtol=1e-12
             )
@@ -263,7 +262,6 @@ class TestCorrelationProfile:
         good = dict(
             ports=(1, 3),
             mu=np.array([0.0, 0.5]),
-            channel_variance=1.0,
             spread_variance=np.array([1.1, 0.8]),
         )
         CorrelationProfile(**good)
@@ -282,7 +280,6 @@ class TestCorrelationProfile:
         good = dict(
             ports=(1, 3),
             mu=np.array([0.0, 0.5]),
-            channel_variance=1.0,
             spread_variance=np.array([[1.1, 0.8], [1.2, 0.9]]),
         )
         CorrelationProfile(**good)
@@ -321,7 +318,6 @@ def narrow_profile():
     return CorrelationProfile(
         ports=(1, 3),
         mu=np.array([0.0, 0.6425]),
-        channel_variance=1.0,
         spread_variance=np.array([1.05, 0.65]),
     )
 
@@ -335,7 +331,6 @@ class TestJointMagnitudeCdf:
         profile = CorrelationProfile(
             ports=(1,),
             mu=np.array([0.0]),
-            channel_variance=1.0,
             spread_variance=np.array([1.2]),
         )
         tau = 0.9
@@ -369,7 +364,6 @@ class TestJointMagnitudeCdf:
         profile = CorrelationProfile(
             ports=(1, 3, 5),
             mu=np.array([0.0, 0.64, 0.12]),
-            channel_variance=1.0,
             spread_variance=np.array([1.08, 0.62, 1.02]),
         )
         rng = np.random.default_rng(42)
@@ -411,13 +405,13 @@ class TestJointMagnitudeCdf:
 
 def _batch_matches_single_calls(taus, spreads, mu, ports):
     batch = CorrelationProfile(
-        ports=ports, mu=mu, channel_variance=1.0, spread_variance=spreads
+        ports=ports, mu=mu, spread_variance=spreads
     )
     got = joint_magnitude_cdf(taus, batch)
     assert got.shape == (len(taus),)
     expected = [
         joint_magnitude_cdf(t, CorrelationProfile(
-            ports=ports, mu=mu, channel_variance=1.0, spread_variance=s))
+            ports=ports, mu=mu, spread_variance=s))
         for t, s in zip(taus, spreads)
     ]
     # bit for bit, not approximately: a row must not see its batch
@@ -492,7 +486,7 @@ class TestJointMagnitudeCdfBatch:
         taus = rng.uniform(0.05, 3.0, size=(25, 3))
         profile = CorrelationProfile(
             ports=(1, 3, 5), mu=np.array([0.0, 0.64, 0.12]),
-            channel_variance=1.0, spread_variance=spreads,
+            spread_variance=spreads,
         )
         joint_magnitude_cdf(taus, profile)
         batched = len(calls)
@@ -500,7 +494,7 @@ class TestJointMagnitudeCdfBatch:
         for t, s in zip(taus, spreads):
             calls.clear()
             joint_magnitude_cdf(t, CorrelationProfile(
-                ports=(1, 3, 5), mu=profile.mu, channel_variance=1.0,
+                ports=(1, 3, 5), mu=profile.mu,
                 spread_variance=s))
             singles.append(len(calls))
         assert batched == max(singles)
@@ -606,10 +600,12 @@ class TestSampleCorrelatedChannels:
             )
 
     def test_variance_scaling(self, stock_cfg):
+        # draws are in units of sigma^2: unit power, and no channel
+        # variance to scale them by
         rng = np.random.default_rng(42)
-        g = sample_correlated_channels(
-            rng, stock_cfg, channel_variance=4.0, size=50_000
-        )
+        g = sample_correlated_channels(rng, stock_cfg, size=50_000)
         np.testing.assert_allclose(
-            np.mean(np.abs(g) ** 2), 4.0, rtol=0.02
+            np.mean(np.abs(g) ** 2), 1.0, rtol=0.02
         )
+        assert "channel_variance" not in inspect.signature(
+            sample_correlated_channels).parameters

@@ -235,6 +235,15 @@ class TestSweepSpec:
                 engines=("analytic", "monte-carlo"),
             )
 
+    @pytest.mark.parametrize("parameter, grid", [
+        ("tx-power", (1.0, math.inf)),
+        ("num-fas", (math.nan,)),
+        ("ports-per-fa", (math.inf,)),
+    ])
+    def test_rejects_non_finite_grid(self, parameter, grid):
+        with pytest.raises(ConfigError, match="finite"):
+            SweepSpec(parameter=parameter, grid=grid)
+
     def test_rejects_grid_past_the_cap(self):
         grid = range(1, _MAX_GRID_POINTS + 1)
         assert len(SweepSpec(parameter="tx-power", grid=grid).grid) == len(grid)
@@ -254,7 +263,9 @@ class TestParseSweepFlag:
 
     @pytest.mark.parametrize(
         "text", ["tx-power=1:2", "tx-power", "tx-power=a:b:3", "p=1:2:0",
-                 f"tx-power=1:2:{_MAX_GRID_POINTS + 1}"]
+                 f"tx-power=1:2:{_MAX_GRID_POINTS + 1}",
+                 "num-fas=nan:nan:1", "ports-per-fa=inf:inf:1",
+                 "tx-power=1:inf:2"]
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ConfigError):
@@ -328,16 +339,24 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="mode"):
             run_sweep(spec, base, mode="exact")
 
-    def test_target_variance_domain_follows_the_channel_variance(self):
+    def test_target_variance_domain_is_a_share_of_the_channel_variance(self):
+        # the target is in units of sigma^2, so its domain is (0, 1) at
+        # any channel variance, and it ignores that variance
         base = default_config()
-        spec = SweepSpec(parameter="target-variance", grid=(0.5, 1.5))
-        with pytest.raises(ConfigError, match="target-variance=1.5"):
-            run_sweep(spec, base)
         wide = replace(base, network=replace(base.network,
                                              channel_variance=2.0))
-        rows, failures = run_sweep(spec, wide)
-        assert not failures
-        assert len(rows) == 2
+        spec = SweepSpec(parameter="target-variance", grid=(0.5, 1.5))
+        for cfg in (base, wide):
+            with pytest.raises(ConfigError, match="target-variance=1.5"):
+                run_sweep(spec, cfg)
+        spec = SweepSpec(parameter="target-variance", grid=(0.25, 0.5))
+        doubled = replace(base, network=replace(base.network, tx_power=2.0))
+        cells = [
+            [{**row, "wall_ms": ""} for row in run_sweep(spec, cfg)[0]]
+            for cfg in (wide, doubled)
+        ]
+        assert cells[0] == cells[1]
+        assert all(row["outage_analytic_common"] for row in cells[0])
 
 
 class TestMain:
@@ -405,6 +424,30 @@ class TestMain:
         assert float(rows[0]["outage_analytic_common"]) > 0.0
         assert rows[1]["outage_analytic_common"] == "error"
 
+    def test_frame_without_data_marks_cells_and_exit_code(
+        self, tmp_path, caplog
+    ):
+        # 100 uses per block, all spent on training: every cell fails
+        # on the data share, the skip-count preset included
+        cfg = write_config(
+            tmp_path, "coherence_bandwidth = 1000\ncoherence_time = 0.1\n"
+            "estimation_fraction = 0.999\n",
+        )
+        out = str(tmp_path / "rows.csv")
+        code = main([
+            "--config", cfg, "--sweep", "tx-power=1:2:2",
+            "--engines", "analytic,monte-carlo", "--out", out,
+        ])
+        assert code == 1
+        for row in read_rows(out):
+            for column in ("outage_analytic_common", "outage_analytic_perport",
+                           "outage_mc", "mc_stderr"):
+                assert row[column] == "error"
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert all("data share" in e for e in errors[:-1])
+        assert main(["--config", cfg, "--preset", "fig7", "--out", out]) == 1
+
     def test_overflowing_rate_marks_cells_and_exit_code(
         self, tmp_path, caplog
     ):
@@ -432,6 +475,9 @@ class TestMain:
         ("tx-power=-1:1:2", "tx-power=-1: tx_power and noise_power"),
         ("target-variance=0:0.5:2", "target-variance=0: target_variance"),
         ("target-variance=0.5:1:2", "target-variance=1: target_variance"),
+        ("num-fas=nan:nan:1", "start and stop must be finite"),
+        ("ports-per-fa=inf:inf:1", "start and stop must be finite"),
+        ("tx-power=1:inf:2", "start and stop must be finite"),
     ])
     def test_grid_value_off_its_domain_fails_before_any_point(
         self, tmp_path, caplog, monkeypatch, sweep, match
@@ -483,6 +529,22 @@ class TestMain:
         with pytest.raises(SystemExit) as err:
             main(["--compat-printed-forms", "--preset", "fig7"])
         assert err.value.code == 2
+
+    def test_channel_variance_enters_through_the_snr_only(self, tmp_path):
+        # sigma^2 = 2 at half the power has the stock transmit SNR, and
+        # every variance is in units of sigma^2, so the cells match the
+        # stock config's
+        args = ["--sweep", "bs-density=5e-5:1e-4:2", "--trials", "512",
+                "--engines", "analytic,bounds,monte-carlo",
+                "--interference-limited", "--seed", "3"]
+        cells = []
+        for config in ([], ["--config", write_config(
+                tmp_path, "channel_variance = 2\ntx_power = 0.5\n")]):
+            out = str(tmp_path / "rows.csv")
+            assert main(config + args + ["--out", out]) == 0
+            cells.append([{**row, "wall_ms": ""} for row in read_rows(out)])
+        assert cells[0] == cells[1]
+        assert all(v for k, v in cells[0][0].items() if k != "wall_ms")
 
     def test_trials_and_seed_overrides(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)

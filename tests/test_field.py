@@ -28,6 +28,11 @@ class TestNetworkConfig:
         assert net.transmit_snr == net.channel_variance * net.tx_power / net.noise_power
         assert net.transmit_snr == pytest.approx(1e5, rel=1e-12)
 
+    def test_noise_floor_is_in_units_of_the_channel_variance(self):
+        assert NetworkConfig().noise_floor == 1e-5
+        net = NetworkConfig(channel_variance=4.0, noise_power=2e-5)
+        assert net.noise_floor == 5e-6
+
     def test_replace_rederives_transmit_snr(self):
         net = replace(NetworkConfig(), tx_power=2.0)
         assert net.transmit_snr == pytest.approx(2e5, rel=1e-12)
@@ -145,9 +150,10 @@ class TestSampleInterferers:
         )
 
     def test_campbell_variance_of_faded_sum(self):
-        # Var[sum sigma^2 h r^-a] over the annulus with Rayleigh power
-        # fades h ~ Exp(1), whose second moment 2 the formula carries;
-        # sigma^2 = 2 and a = 3 so neither sigma^4 nor 2a - 2 is 1
+        # Var[sum h r^-a] over the annulus with Rayleigh power fades
+        # h ~ Exp(1), whose second moment 2 the formula carries; a = 3 so
+        # 2a - 2 is not 1. The sum is in units of sigma^2, so the
+        # variance is the same at any channel variance.
         rng = np.random.default_rng(42)
         lam, r0 = 1e-4, 40.0
         outer = 10.0 * r0
@@ -155,9 +161,11 @@ class TestSampleInterferers:
                             channel_variance=2.0)
         expected = (campbell_variance(r0**-4.0, net)
                     - campbell_variance(outer**-4.0, net))
+        unit = replace(net, channel_variance=1.0)
+        assert expected == (campbell_variance(r0**-4.0, unit)
+                            - campbell_variance(outer**-4.0, unit))
         sums = np.array([
-            net.channel_variance * np.sum(
-                rng.standard_exponential(r.size) * r**-3.0)
+            np.sum(rng.standard_exponential(r.size) * r**-3.0)
             for r in (sample_annulus(rng, lam, r0, outer)
                       for _ in range(20000))
         ])
@@ -204,9 +212,11 @@ class TestMeanInterference:
         )
 
     def test_fade_variance_scaling(self):
+        # interference is in units of sigma^2: the channel variance
+        # leaves it unchanged
         base = mean_interference(80.0, NetworkConfig())
         scaled = mean_interference(80.0, NetworkConfig(channel_variance=2.0))
-        np.testing.assert_allclose(scaled, 2.0 * base, rtol=1e-12)
+        assert scaled == base
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
@@ -227,18 +237,19 @@ class TestMeanInterference:
 
 class TestGammaModel:
     def test_moment_identities(self):
+        # in units of sigma^2 the adopted variance is 2 at any channel
+        # variance, and the model is the unit-variance one
         net = NetworkConfig(channel_variance=1.7)
         model = gamma_interference_model(90.0, net)
         np.testing.assert_allclose(
             model.shape * model.scale, mean_interference(90.0, net), rtol=1e-12
         )
         np.testing.assert_allclose(
-            model.shape * model.scale**2, 2.0 * net.channel_variance**2, rtol=1e-12
+            model.shape * model.scale**2, 2.0, rtol=1e-12
         )
-        np.testing.assert_allclose(
-            model.variance, 2.0 * net.channel_variance**2, rtol=1e-12
-        )
+        assert model.variance == 2.0
         assert model.exclusion_radius == 90.0
+        assert model == gamma_interference_model(90.0, NetworkConfig())
 
     @pytest.mark.parametrize("exponent", [4.0, 3.5, 2.7])
     def test_array_of_radii_equals_scalar_calls(self, exponent):

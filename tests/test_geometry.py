@@ -193,6 +193,11 @@ class TestFrameBudget:
             build_frame_budget(stock_cfg, stock_fluid, COHERENCE_BANDWIDTH,
                                COHERENCE_TIME, 0.08)
 
+    def test_training_can_leave_no_data(self, stock_cfg, stock_fluid):
+        # 100 uses, all of them spent on training
+        with pytest.raises(InfeasibleFrameError, match="data share"):
+            build_frame_budget(stock_cfg, stock_fluid, 1000.0, 0.1, 0.999)
+
     def test_input_validation(self, stock_cfg, stock_fluid):
         with pytest.raises(ValueError):
             build_frame_budget(stock_cfg, stock_fluid, 0.0,

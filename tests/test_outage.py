@@ -299,7 +299,7 @@ class TestConditionalOutageBounds:
             * rho**2 / (net.path_loss_exponent - 2.0)
         )
         xi = (target.threshold * (rho**4 * inter + err)) ** 2 / (
-            net.channel_variance + err
+            1.0 + err
         )
         expected = (1.0 - math.exp(-xi)) * (1.0 - count * math.exp(-xi))
         assert 0.0 < expected < 1.0
