@@ -12,12 +12,12 @@ engine raised is written as ``error`` and the process exits nonzero
 after finishing the remaining grid points. A grid value outside its
 parameter's domain (say a nonpositive density) is a config error
 instead: exit code 2 before any point runs, as is a grid of more than
-1000 values or a sweep whose Monte Carlo chunks, over the grid points
-run at once, would need more than a fixed memory budget. For
-``target-variance`` sweeps the analytic column carries the minimum skip
-count that meets the target error variance at the typical serving
-distance 1/sqrt(pi*density) (evaluated at the first port), not an
-outage.
+1000 values or a sweep whose Monte Carlo chunks or analytic outage
+arrays, over the grid points run at once, would need more than a fixed
+memory budget. For ``target-variance`` sweeps the analytic column
+carries the minimum skip count that meets the target error variance at
+the typical serving distance 1/sqrt(pi*density) (evaluated at the
+first port), not an outage.
 """
 
 from __future__ import annotations
@@ -98,10 +98,16 @@ PRESETS = tuple(_PRESETS)
 # longest grid a sweep may ask for; every preset has at most 29 points
 _MAX_GRID_POINTS = 1000
 
-# ceiling on the Monte Carlo chunk memory of the grid points a sweep runs
-# at once; every preset needs at most ~0.8 GB even with all its points
-# running together
+# ceiling on the engine memory of the grid points a sweep runs at once;
+# every preset needs at most ~1.3 GB even with all its points running
+# together
 _MEMORY_BUDGET = 2 * 2**30
+# analytic engine: one conditional-outage call takes at most 4,096
+# (distance, interference) pairs (outage._PAIRS_PER_CALL) and holds about
+# six float64 arrays over pairs x trained ports; the Marcum Q groups of
+# the joint magnitude cdf add a fixed share
+_ANALYTIC_BYTES_PER_PORT = 4096 * 6 * 8
+_ANALYTIC_FIXED_BYTES = 40 * 2**20
 
 # stock values; every key can be overridden in the config file. The
 # network, array and fluid values are their dataclasses' field defaults.
@@ -394,17 +400,46 @@ def _run_engines(run, index, spec, cfg, budget, target, mode):
             ))
 
 
-def _check_memory(configs, concurrent):
-    """Refuse configs whose Monte Carlo chunks, ``concurrent`` at once,
-    would pass the memory budget."""
-    need = concurrent * max(chunk_bytes(c.plan, c.array) for c in configs)
-    if need > _MEMORY_BUDGET:
-        raise ConfigError(
-            f"Monte Carlo chunks would need about {need / 2**20:.0f} MiB "
-            f"with {concurrent} grid point(s) at once, above the "
-            f"{_MEMORY_BUDGET / 2**20:.0f} MiB budget; lower chunk_size, "
-            f"trials or ports_per_fa, or {WORKERS_ENV}"
-        )
+def _analytic_bytes(array):
+    """Estimated peak memory in bytes of one analytic outage at ``array``.
+
+    A refinement round passes its (distance, interference) pairs to the
+    conditional outage in calls of at most 4,096 pairs, each pair with
+    one threshold per trained port. Arithmetic only, like
+    ``mc.chunk_bytes``: it builds nothing of the size it estimates.
+    """
+    trained = -(-array.ports_per_fa // (array.skipped_ports + 1))
+    return trained * _ANALYTIC_BYTES_PER_PORT + _ANALYTIC_FIXED_BYTES
+
+
+def _check_memory(configs, engines, concurrent):
+    """Refuse configs whose engines, ``concurrent`` grid points at once,
+    would pass the memory budget.
+
+    A point runs its engines one after another, so each estimate is held
+    against the budget on its own: Monte Carlo chunks where
+    ``monte-carlo`` runs, the analytic arrays where ``analytic`` does
+    (the bounds engine's arrays do not grow with the array size).
+    """
+
+    def check(what, sizes, remedy):
+        need = concurrent * max(sizes)
+        if need > _MEMORY_BUDGET:
+            raise ConfigError(
+                f"{what} would need about {need / 2**20:.0f} MiB with "
+                f"{concurrent} grid point(s) at once, above the "
+                f"{_MEMORY_BUDGET / 2**20:.0f} MiB budget; {remedy}, "
+                f"or lower {WORKERS_ENV}"
+            )
+
+    if "monte-carlo" in engines:
+        check("Monte Carlo chunks",
+              [chunk_bytes(c.plan, c.array) for c in configs],
+              "lower chunk_size, trials or ports_per_fa")
+    if "analytic" in engines:
+        check("analytic outage arrays",
+              [_analytic_bytes(c.array) for c in configs],
+              "lower ports_per_fa or raise skipped_ports")
 
 
 def _worker_count():
@@ -428,10 +463,11 @@ def run_sweep(spec, base, mode="both"):
     """Evaluate every grid point; returns (rows, failure messages).
 
     Raises :class:`ConfigError` before any point runs when a grid value
-    lies outside its parameter's domain, or when one Monte Carlo chunk
-    of the base config or of any grid value, times the number of points
-    run at once, would pass the memory budget. A frame that cannot fit
-    at a valid value is a failure of that point only.
+    lies outside its parameter's domain, or when the estimated memory of
+    a requested engine (one Monte Carlo chunk, or the analytic outage's
+    arrays) at the base config or at any grid value, times the number
+    of points run at once, would pass the memory budget. A frame that
+    cannot fit at a valid value is a failure of that point only.
 
     Grid points run on a worker pool but rows come back in grid order,
     and each Monte Carlo point owns a stream keyed by its grid index,
@@ -446,7 +482,8 @@ def run_sweep(spec, base, mode="both"):
         except ValueError as exc:
             raise ConfigError(f"{spec.parameter}={value:g}: {exc}") from exc
     workers = _worker_count()
-    _check_memory([base, *configs], min(workers, len(spec.grid)))
+    _check_memory([base, *configs], spec.engines,
+                  min(workers, len(spec.grid)))
 
     def point(args):
         return _compute_point(*args, spec, mode)

@@ -107,30 +107,28 @@ def link_distance(i, rho, cfg):
     """Distance (m) from the serving transmitter to port ``i``.
 
     ``rho`` is the distance to the first port; the ports are laid out
-    broadside, so the offset adds in quadrature.
+    broadside, so the offset adds in quadrature. Evaluated with
+    ``np.hypot``, as :func:`link_distances` is.
     """
     if rho <= 0.0:
         raise ValueError("serving distance must be positive")
-    d = port_displacement(i, cfg)
-    return math.hypot(rho, d)
+    return float(np.hypot(rho, port_displacement(i, cfg)))
 
 
 def link_distances(ports, rho, cfg):
     """Distances (m) to each of ``ports`` at serving distance ``rho``.
 
     ``rho`` may be an array; the result appends a port axis to its
-    shape. Every entry is :func:`link_distance`'s ``math.hypot``, so a
-    batch agrees with the scalar calls bit for bit.
+    shape. One ``np.hypot`` over the serving distances and the port
+    offsets gives every entry; :func:`link_distance` uses the same
+    primitive, so a batch agrees with the scalar calls bit for bit
+    (``math.hypot`` differs from it in the last bit on some pairs).
     """
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("serving distance must be positive")
-    shifts = [port_displacement(p, cfg) for p in ports]
-    distinct, inverse = np.unique(rho, return_inverse=True)
-    table = np.array([
-        [math.hypot(r, d) for d in shifts] for r in distinct.tolist()
-    ])
-    return table[inverse.reshape(-1)].reshape(rho.shape + (len(ports),))
+    shifts = np.array([port_displacement(p, cfg) for p in ports])
+    return np.hypot(rho[..., None], shifts)
 
 
 def fluid_velocity(params):

@@ -15,18 +15,20 @@ safe to call from any number of workers.
 The adaptive quadrature also integrates a batch: given 1-D arrays of
 limits it runs one independent copy of the scalar algorithm per row in
 lockstep, and each refinement round makes a single integrand call for
-all unfinished rows. Every row keeps its own tolerance, subdivision
-budget and panel order, so it returns the scalar call's value and
-error estimate bit for bit; a row that exhausts its budget raises
-:class:`ConvergenceError` with its own estimate once the batch ends
-(the lowest numbered such row). The outage path nests three of these
-batches (serving distance, interference, port magnitudes), which turns
-thousands of small Marcum Q calls into one per round.
+all unfinished rows. The intervals of all rows sit in one array, so a
+round's bookkeeping is a few array operations whatever the row count,
+and every ten-node panel sum adds its terms in node order. Every row
+keeps its own tolerance, subdivision budget and panel order, so it
+returns the scalar call's value and error estimate bit for bit; a row
+that exhausts its budget raises :class:`ConvergenceError` with its own
+estimate once the batch ends (the lowest numbered such row). The
+outage path nests three of these batches (serving distance,
+interference, port magnitudes), which turns thousands of small Marcum
+Q calls into one per round.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -264,22 +266,34 @@ _EPS = float(np.finfo(float).eps)
 def _gl_panels(f, rows, lo, hi):
     """Ten-point Gauss-Legendre sums over panels [lo, hi] of the given rows.
 
-    One call of ``f`` covers every panel. Each sum is one ``np.dot`` of
-    ten values, the rounding a lone panel gets, so a panel's sum does
-    not depend on which others share the call.
+    One call of ``f`` covers every panel, node by node: the first node
+    of every panel, then the second, and so on. Each sum adds its ten
+    weighted values one after another in node order, the same float
+    operations whatever the panel count, so a panel's sum does not
+    depend on which others share the call.
     """
-    lo = np.ravel(lo)
-    hi = np.ravel(hi)
+    lo = lo.reshape(-1)
+    hi = hi.reshape(-1)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES
+    nodes = _GL_NODES[:, None] * half + mid
     values = np.asarray(
-        f(nodes.reshape(-1), np.repeat(rows, _GL_NODES.size)), dtype=float
+        f(nodes.reshape(-1), np.tile(rows, _GL_NODES.size)), dtype=float
     )
     if values.shape != (nodes.size,):
         raise ValueError("integrand must return one value per node")
-    dots = map(_GL_WEIGHTS.dot, values.reshape(nodes.shape))
-    return (half * np.fromiter(dots, float, count=len(half))).tolist()
+    weighted = values.reshape(nodes.shape) * _GL_WEIGHTS[:, None]
+    total = weighted[0] + weighted[1]
+    for term in weighted[2:]:
+        total += term
+    return half * total
+
+
+def _halving(coarse, left, right):
+    """Refined sum and error estimate of intervals split into two halves."""
+    fine = left + right
+    return fine, (np.abs(coarse - fine)
+                  + 4.0 * _EPS * (np.abs(left) + np.abs(right)))
 
 
 def integrate_finite_with_error(f, a, b, spec=QuadratureSpec()):
@@ -289,6 +303,12 @@ def integrate_finite_with_error(f, a, b, spec=QuadratureSpec()):
     integrand values elementwise. Returns ``(value, error_estimate)``
     where the estimate comes from interval halving and is accumulated
     conservatively (roundoff floors included).
+
+    Each round pops the interval with the largest error estimate, ties
+    going to the one pushed first, subtracts its sum and error from the
+    totals, and adds those of its two halves, left then right. The
+    integral stops once its error is within max(absolute tolerance,
+    relative tolerance * |value|).
 
     Batches: 1-D arrays of limits (broadcast against each other)
     integrate B independent rows in lockstep and return two length-B
@@ -303,6 +323,14 @@ def integrate_finite_with_error(f, a, b, spec=QuadratureSpec()):
     each row's worst interval. A row with ``a == b`` gives 0 and is
     never evaluated. A scalar call runs as the one-row batch.
 
+    Every unfinished row has been split once per round, so all of them
+    hold the same number of intervals. Those live in one array with an
+    axis for the interval fields, one for the unfinished rows and one
+    for each row's intervals in push order: a popped interval is
+    removed and its halves are appended, so the first maximum of the
+    error estimates is the interval to pop. Rows that finish leave the
+    array.
+
     Raises :class:`ConvergenceError` carrying the best estimate when a
     row's subdivision budget runs out before its tolerance is met. The
     other rows still run to the end; the error reports the lowest
@@ -314,9 +342,9 @@ def integrate_finite_with_error(f, a, b, spec=QuadratureSpec()):
     )
     if lows.ndim > 1:
         raise ValueError("integration limits must be scalars or 1-D arrays")
-    if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(highs))):
+    if not (np.isfinite(lows).all() and np.isfinite(highs).all()):
         raise ValueError("integration limits must be finite")
-    if np.any(lows > highs):
+    if (lows > highs).any():
         raise ValueError("lower limit exceeds upper limit")
     if not batched:
         scalar_f = f
@@ -324,81 +352,86 @@ def integrate_finite_with_error(f, a, b, spec=QuadratureSpec()):
         def f(x, rows):
             return scalar_f(x)
 
-    lows = lows.reshape(-1).tolist()
-    highs = highs.reshape(-1).tolist()
-    count = len(lows)
-    values = [0.0] * count
-    errors = [0.0] * count
-    # per row, heap entries: (-err, tiebreak, lo, hi, left, right, fine)
-    heaps = [[] for _ in range(count)]
-    counters = [0] * count
-    subdivisions = [1] * count
+    lows = lows.reshape(-1)
+    highs = highs.reshape(-1)
+    values = np.zeros(lows.size)
+    errors = np.zeros(lows.size)
     failed = []
 
-    def push(k, lo, hi, coarse, left, right):
-        fine = left + right
-        err = abs(coarse - fine) + 4.0 * _EPS * (abs(left) + abs(right))
-        entry = (-err, counters[k], lo, hi, left, right, fine)
-        heapq.heappush(heaps[k], entry)
-        counters[k] += 1
-        return fine, err
+    live = np.flatnonzero(lows < highs)
+    if live.size:
+        lo = lows[live]
+        hi = highs[live]
+        mid = 0.5 * (lo + hi)
+        coarse, left, right = _gl_panels(
+            f, np.concatenate((live, live, live)),
+            np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)),
+        ).reshape(3, -1)
+        value, error = _halving(coarse, left, right)
+        # store[field, i, j]: field of the j-th interval of row live[i]
+        store = np.array((lo, hi, left, right, value, error))[:, :, None]
+    subdivisions = 1
 
-    live = [k for k in range(count) if lows[k] < highs[k]]
-    los = [lows[k] for k in live]
-    his = [highs[k] for k in live]
-    mids = [0.5 * (lo + hi) for lo, hi in zip(los, his)]
-    if live:
-        sums = _gl_panels(f, live * 3, los + los + mids, his + mids + his)
-        n = len(live)
-        for i, k in enumerate(live):
-            values[k], errors[k] = push(
-                k, los[i], his[i], sums[i], sums[n + i], sums[2 * n + i]
-            )
-
-    while live:
-        popped = []
-        for k in live:
-            tol = max(spec.absolute_tolerance,
-                      spec.relative_tolerance * abs(values[k]))
-            if errors[k] <= tol:
-                continue
-            if subdivisions[k] >= spec.max_subdivisions:
-                failed.append(k)
-                continue
-            neg_err, _, lo, hi, left, right, fine = heapq.heappop(heaps[k])
-            errors[k] += neg_err  # remove this interval's contribution
-            values[k] -= fine
-            popped.append((k, lo, 0.5 * (lo + hi), hi, left, right))
-        live = [k for k, *_ in popped]
-        if not live:
+    # value and error hold the sums of the live rows; a row's entries
+    # go to values and errors when it leaves
+    while live.size:
+        tol = np.fmax(spec.absolute_tolerance,
+                      spec.relative_tolerance * np.abs(value))
+        done = error <= tol
+        if subdivisions >= spec.max_subdivisions:
+            values[live] = value
+            errors[live] = error
+            failed = live[~done]
             break
-        edges = np.array([
-            (lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi)
-            for _, lo, mid, hi, _, _ in popped
-        ])
-        sums = _gl_panels(f, np.repeat(live, 4), edges[:, :4], edges[:, 1:])
-        for i, (k, lo, mid, hi, left, right) in enumerate(popped):
-            for sub_lo, sub_hi, coarse, quarter in (
-                    (lo, mid, left, 4 * i), (mid, hi, right, 4 * i + 2)):
-                fine, err = push(k, sub_lo, sub_hi, coarse,
-                                 sums[quarter], sums[quarter + 1])
-                values[k] += fine
-                errors[k] += err
-            subdivisions[k] += 2
+        if done.any():
+            values[live[done]] = value[done]
+            errors[live[done]] = error[done]
+            keep = ~done
+            live = live[keep]
+            value = value[keep]
+            error = error[keep]
+            store = store[:, keep]
+            if not live.size:
+                break
+        count, width = store.shape[1:]
+        popped = np.zeros((count, width), dtype=bool)
+        # the first largest error estimate: ties go to the earliest pushed
+        popped[np.arange(count), np.argmax(store[5], axis=1)] = True
+        lo, hi, left, right, fine, err = store[:, popped]
+        store = store[:, ~popped].reshape(6, count, width - 1)
+        error -= err  # remove this interval's contribution
+        value -= fine
 
-    if failed:
-        k = min(failed)
+        mid = 0.5 * (lo + hi)
+        edges = np.array((lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi)).T
+        quarters = _gl_panels(f, np.repeat(live, 4), edges[:, :4],
+                              edges[:, 1:]).reshape(count, 4)
+        firsts = quarters[:, 0::2]
+        seconds = quarters[:, 1::2]
+        fine, err = _halving(np.array((left, right)).T, firsts, seconds)
+        for side in (0, 1):
+            value += fine[:, side]
+            error += err[:, side]
+        children = np.array((edges[:, 0:3:2], edges[:, 2::2], firsts, seconds,
+                             fine, err))
+        store = np.concatenate((store, children), axis=2)
+        subdivisions += 2
+
+    if len(failed):
+        k = int(failed[0])
         row = f"row {k} " if batched else ""
+        estimate = float(values[k])
+        error = float(errors[k])
         raise ConvergenceError(
             f"quadrature {row}did not converge within "
             f"{spec.max_subdivisions} subdivisions "
-            f"(estimate {values[k]!r}, error {errors[k]!r})",
-            estimate=values[k],
-            error_estimate=errors[k],
+            f"(estimate {estimate!r}, error {error!r})",
+            estimate=estimate,
+            error_estimate=error,
         )
     if batched:
-        return np.array(values), np.array(errors)
-    return values[0], errors[0]
+        return values, errors
+    return float(values[0]), float(errors[0])
 
 
 def integrate_finite(f, a, b, spec=QuadratureSpec()):

@@ -22,7 +22,11 @@ from .channel import (
     joint_magnitude_cdf,
 )
 from .field import campbell_mean, gamma_interference_model
-from .geometry import link_distances, trained_port_indices
+from .geometry import (
+    link_distances,
+    port_displacement,
+    trained_port_indices,
+)
 from .numerics import QuadratureSpec, integrate_finite
 
 __all__ = [
@@ -277,11 +281,12 @@ def outage_probability(cfg, net, budget, target, spec=QuadratureSpec(),
         return min(1.0, float(single[0])) ** cfg.num_fas
 
     ports = trained_port_indices(cfg)
+    # each node's own port only, not the node x port table (quadratic in
+    # the trained ports); the np.hypot of link_distances, bit for bit
+    shifts = np.array([port_displacement(p, cfg) for p in ports])
     per_port = _distance_averaged(
         conditional, [0] * len(ports),
-        lambda rows, rhos: link_distances(ports, rhos, cfg)[
-            np.arange(rows.size), rows
-        ],
+        lambda rows, rhos: np.hypot(rhos, shifts[rows]),
         net, spec,
     )
     product = 1.0

@@ -1,0 +1,68 @@
+"""Fill in the golden CSVs of the analytic and bounds engines.
+
+Each run in ``RUNS`` goes through ``cli.main`` as the command line would
+run it, and its rows, minus ``wall_ms``, are written to
+``tests/reference/<name>.csv``. A refactor of the analytic path must
+leave every cell of both files as it is, so only a change that is meant
+to move an estimate regenerates them. Run from the repository root
+(a few seconds):
+
+    PYTHONPATH=src python tests/make_analytic_reference.py
+
+``tests/test_analytic_reference.py`` reruns both and compares cell by
+cell.
+"""
+
+import csv
+import sys
+from pathlib import Path
+
+from fluidcell.cli import main
+
+REFERENCE_DIR = Path(__file__).with_name("reference")
+DESK_CONFIG = (Path(__file__).resolve().parent.parent
+               / "perfbench" / "configs" / "desk.cfg")
+ENGINES = ["--engines", "analytic,bounds", "--interference-limited"]
+
+RUNS = {
+    # stock 4 x 15 array over the fig3 transmit powers
+    "analytic_fig3": ["--preset", "fig3", *ENGINES],
+    # desk 2 x 5 array over a density sweep
+    "analytic_desk_density": [
+        "--config", str(DESK_CONFIG),
+        "--sweep", "bs-density=5e-5:1e-3:3", *ENGINES,
+    ],
+}
+
+
+def run_rows(name, out):
+    """Rows of ``RUNS[name]`` written through ``out``, minus wall_ms."""
+    code = main([*RUNS[name], "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"{name}: the command line exited {code}")
+    return read_rows(out)
+
+
+def read_rows(path):
+    """CSV rows of ``path`` as dicts, without a ``wall_ms`` cell."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    for row in rows:
+        row.pop("wall_ms", None)
+    return rows
+
+
+def main_reference():
+    REFERENCE_DIR.mkdir(exist_ok=True)
+    for name in RUNS:
+        path = REFERENCE_DIR / f"{name}.csv"
+        rows = run_rows(name, path)
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        print(f"{path}: {len(rows)} rows", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main_reference()

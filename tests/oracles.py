@@ -1,16 +1,19 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Each oracle evaluates a different representation than the production
-code (power series, direct quadrature, the exact interferer field), so
-agreement is meaningful.
+code (power series, direct quadrature, the exact interferer field, a
+heap per row for the lockstep quadrature's bookkeeping), so agreement
+is meaningful.
 """
 
+import heapq
 import math
 
 import numpy as np
 from scipy import integrate
 
-from fluidcell import bessel_i0e
+from fluidcell import ConvergenceError, QuadratureSpec, bessel_i0e
+from fluidcell.numerics import _EPS, _gl_panels
 
 
 def j0_series(x, terms=60):
@@ -102,3 +105,132 @@ def marcum_q1_mpmath(a, b, digits=40):
             total += px * cdf_y
             if j > lam and px * (j + 1) / (j + 1 - lam) <= eps * total:
                 return total
+
+
+def _panel_sums(f, rows, lo, hi):
+    """The package's panel sums as a list of floats, as the heap code
+    below was written against."""
+    return _gl_panels(f, rows, np.asarray(lo, dtype=float),
+                      np.asarray(hi, dtype=float)).tolist()
+
+
+# The lockstep quadrature as it was written with one heap per row, kept
+# as the reference for the array bookkeeping that replaced it. It shares
+# the package's panel sums, so the two differ in their bookkeeping only.
+def integrate_finite_heap(f, a, b, spec=QuadratureSpec()):
+    """Adaptive Gauss-Legendre integration of ``f`` over [a, b].
+
+    ``f`` must accept a one-dimensional ndarray of nodes and return the
+    integrand values elementwise. Returns ``(value, error_estimate)``
+    where the estimate comes from interval halving and is accumulated
+    conservatively (roundoff floors included).
+
+    Batches: 1-D arrays of limits (broadcast against each other)
+    integrate B independent rows in lockstep and return two length-B
+    arrays. ``f`` is then called as ``f(x, rows)``, where ``rows[k]`` is
+    the row that node ``x[k]`` belongs to. Each row runs the scalar
+    algorithm: the same panels, pop order and error accounting, its own
+    tolerance (relative to its own value) and its own
+    ``max_subdivisions`` budget, so row k returns what a scalar call on
+    ``a[k], b[k]`` returns, bit for bit. Each round gathers the new
+    panels of every unfinished row into one call of ``f``: the whole
+    interval and both halves first, then the four quarter panels of
+    each row's worst interval. A row with ``a == b`` gives 0 and is
+    never evaluated. A scalar call runs as the one-row batch.
+
+    Raises :class:`ConvergenceError` carrying the best estimate when a
+    row's subdivision budget runs out before its tolerance is met. The
+    other rows still run to the end; the error reports the lowest
+    numbered row that failed, with that row's estimate and error.
+    """
+    batched = np.ndim(a) > 0 or np.ndim(b) > 0
+    lows, highs = np.broadcast_arrays(
+        np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    )
+    if lows.ndim > 1:
+        raise ValueError("integration limits must be scalars or 1-D arrays")
+    if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(highs))):
+        raise ValueError("integration limits must be finite")
+    if np.any(lows > highs):
+        raise ValueError("lower limit exceeds upper limit")
+    if not batched:
+        scalar_f = f
+
+        def f(x, rows):
+            return scalar_f(x)
+
+    lows = lows.reshape(-1).tolist()
+    highs = highs.reshape(-1).tolist()
+    count = len(lows)
+    values = [0.0] * count
+    errors = [0.0] * count
+    # per row, heap entries: (-err, tiebreak, lo, hi, left, right, fine)
+    heaps = [[] for _ in range(count)]
+    counters = [0] * count
+    subdivisions = [1] * count
+    failed = []
+
+    def push(k, lo, hi, coarse, left, right):
+        fine = left + right
+        err = abs(coarse - fine) + 4.0 * _EPS * (abs(left) + abs(right))
+        entry = (-err, counters[k], lo, hi, left, right, fine)
+        heapq.heappush(heaps[k], entry)
+        counters[k] += 1
+        return fine, err
+
+    live = [k for k in range(count) if lows[k] < highs[k]]
+    los = [lows[k] for k in live]
+    his = [highs[k] for k in live]
+    mids = [0.5 * (lo + hi) for lo, hi in zip(los, his)]
+    if live:
+        sums = _panel_sums(f, live * 3, los + los + mids, his + mids + his)
+        n = len(live)
+        for i, k in enumerate(live):
+            values[k], errors[k] = push(
+                k, los[i], his[i], sums[i], sums[n + i], sums[2 * n + i]
+            )
+
+    while live:
+        popped = []
+        for k in live:
+            tol = max(spec.absolute_tolerance,
+                      spec.relative_tolerance * abs(values[k]))
+            if errors[k] <= tol:
+                continue
+            if subdivisions[k] >= spec.max_subdivisions:
+                failed.append(k)
+                continue
+            neg_err, _, lo, hi, left, right, fine = heapq.heappop(heaps[k])
+            errors[k] += neg_err  # remove this interval's contribution
+            values[k] -= fine
+            popped.append((k, lo, 0.5 * (lo + hi), hi, left, right))
+        live = [k for k, *_ in popped]
+        if not live:
+            break
+        edges = np.array([
+            (lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi)
+            for _, lo, mid, hi, _, _ in popped
+        ])
+        sums = _panel_sums(f, np.repeat(live, 4), edges[:, :4], edges[:, 1:])
+        for i, (k, lo, mid, hi, left, right) in enumerate(popped):
+            for sub_lo, sub_hi, coarse, quarter in (
+                    (lo, mid, left, 4 * i), (mid, hi, right, 4 * i + 2)):
+                fine, err = push(k, sub_lo, sub_hi, coarse,
+                                 sums[quarter], sums[quarter + 1])
+                values[k] += fine
+                errors[k] += err
+            subdivisions[k] += 2
+
+    if failed:
+        k = min(failed)
+        row = f"row {k} " if batched else ""
+        raise ConvergenceError(
+            f"quadrature {row}did not converge within "
+            f"{spec.max_subdivisions} subdivisions "
+            f"(estimate {values[k]!r}, error {errors[k]!r})",
+            estimate=values[k],
+            error_estimate=errors[k],
+        )
+    if batched:
+        return np.array(values), np.array(errors)
+    return values[0], errors[0]

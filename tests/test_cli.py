@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,18 @@ from fluidcell.cli import (
     main,
     run_sweep,
 )
+from fluidcell import (
+    FaArrayConfig,
+    FluidParams,
+    NetworkConfig,
+    build_frame_budget,
+    conditional_outage,
+    outage_probability,
+    sinr_threshold,
+)
+from fluidcell.cli import _analytic_bytes
 from fluidcell.mc import chunk_bytes
+from fluidcell.outage import _PAIRS_PER_CALL
 
 
 @pytest.fixture(autouse=True)
@@ -660,6 +672,54 @@ class TestMemoryGuard:
         assert len(errors) == 1
         assert "MiB budget" in errors[0]
 
+    def test_analytic_sweep_ignores_monte_carlo_chunks(self, tmp_path):
+        # the chunk this plan would need is refused above; the analytic
+        # engine never allocates one
+        out = tmp_path / "rows.csv"
+        code = main([
+            "--config", write_config(tmp_path, "chunk_size = 1000000000\n"),
+            "--trials", "1000000000",
+            "--sweep", "tx-power=1.0:2.0:2", "--engines", "analytic",
+            "--out", str(out),
+        ])
+        assert code == 0
+        rows = read_rows(out)
+        assert len(rows) == 2
+        assert all(row["outage_analytic_common"] not in ("", "error")
+                   for row in rows)
+
+    @pytest.mark.parametrize("engines", ["analytic", "analytic,bounds"])
+    def test_huge_port_count_fails_analytic_before_any_point(
+        self, tmp_path, caplog, monkeypatch, engines
+    ):
+        points = _skip_points(monkeypatch)
+        out = tmp_path / "rows.csv"
+        code = main([
+            "--config", write_config(tmp_path, "ports_per_fa = 100000\n"),
+            "--sweep", "tx-power=1.0:2.0:2", "--engines", engines,
+            "--interference-limited", "--out", str(out),
+        ])
+        assert code == 2
+        assert not points
+        assert not out.exists()
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith("analytic outage arrays would need")
+        assert "MiB budget" in errors[0]
+
+    def test_huge_port_count_exits_2_under_an_address_space_limit(
+        self, tmp_path
+    ):
+        # a billion ports: the estimate is arithmetic, nothing is built
+        cfg = write_config(tmp_path, "ports_per_fa = 1000000000\n")
+        errors = _main_under_address_limit([
+            "--config", cfg, "--sweep", "tx-power=1.0:1.0:1",
+            "--engines", "analytic", "--out", str(tmp_path / "rows.csv"),
+        ])
+        assert len(errors) == 1 and "analytic outage arrays" in errors[0]
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_every_grid_value_counts(self, monkeypatch):
         points = _skip_points(monkeypatch)
         base = default_config()
@@ -729,6 +789,54 @@ class TestMemoryGuard:
         ])
         assert len(errors) == 1 and "at most" in errors[0]
         assert not (tmp_path / "rows.csv").exists()
+
+
+def _traced_peak(compute):
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAnalyticBytes:
+    @staticmethod
+    def _inputs(ports, skipped, density):
+        cfg = FaArrayConfig(num_fas=1, ports_per_fa=ports,
+                            skipped_ports=skipped)
+        net = NetworkConfig(bs_density=density)
+        budget = build_frame_budget(cfg, FluidParams(), 1e8, 0.05, 0.16)
+        return cfg, net, budget, sinr_threshold(1.0, budget)
+
+    @pytest.mark.parametrize("ports, skipped", [(15, 1), (32, 0)])
+    def test_bounds_the_traced_peak_of_a_full_call(self, ports, skipped):
+        # the largest conditional-outage call a round makes
+        cfg, net, budget, target = self._inputs(ports, skipped, 5e-3)
+        rng = np.random.default_rng(4)
+        rhos = rng.uniform(1.0, 20.0, _PAIRS_PER_CALL)
+        gammas = rng.exponential(1e-4, _PAIRS_PER_CALL)
+        peak = _traced_peak(lambda: conditional_outage(
+            rhos, gammas, cfg, net, budget, target))
+        assert peak <= _analytic_bytes(cfg) <= 2 * peak
+
+    @pytest.mark.parametrize("mode", ["common-gamma", "per-port-gamma"])
+    def test_bounds_the_traced_peak_of_an_outage(self, mode):
+        cfg, net, budget, target = self._inputs(15, 1, 1e-3)
+        peak = _traced_peak(lambda: outage_probability(
+            cfg, net, budget, target, mode=mode))
+        assert peak <= _analytic_bytes(cfg)
+
+    def test_grows_with_trained_ports_only(self):
+        def size(ports, skipped):
+            return _analytic_bytes(FaArrayConfig(
+                ports_per_fa=ports, skipped_ports=skipped))
+
+        assert size(15, 1) == size(8, 0)
+        # six float64 arrays over the largest call's pairs, per port
+        assert size(16, 0) - size(15, 0) == _PAIRS_PER_CALL * 6 * 8
+        assert size(30, 0) - size(15, 0) == 15 * (size(16, 0) - size(15, 0))
+        assert size(10**9, 1) > 10**13
 
 
 def _main_under_address_limit(argv):

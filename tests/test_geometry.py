@@ -73,6 +73,27 @@ class TestPortLayout:
         with pytest.raises(ValueError):
             link_distances(ports, np.array([4.0, 0.0]), stock_cfg)
 
+    # (port, serving distance) pairs of the stock array where
+    # math.hypot and np.hypot round the last bit apart (CPython 3.11,
+    # glibc); mixing the two would split a batch from its scalar calls
+    HYPOT_SPLITS = ((2, 0.03795273435888187), (4, 0.3365243787234416),
+                    (6, 0.4647795337438123))
+
+    def test_batch_and_scalar_share_one_hypot(self, stock_cfg):
+        ports = tuple(range(1, stock_cfg.ports_per_fa + 1))
+        rng = np.random.default_rng(16)
+        rho = np.concatenate((
+            [r for _, r in self.HYPOT_SPLITS],
+            10.0 ** rng.uniform(-3.0, 3.0, 4000),
+        ))
+        table = link_distances(ports, rho, stock_cfg)
+        for k, p in enumerate(ports):
+            scalar = [link_distance(p, r, stock_cfg) for r in rho.tolist()]
+            assert table[:, k].tolist() == scalar
+        for p, r in self.HYPOT_SPLITS:
+            assert link_distance(p, r, stock_cfg) == float(
+                np.hypot(r, port_displacement(p, stock_cfg)))
+
 
 class TestFluidMotion:
     def test_stock_velocity(self, stock_fluid):

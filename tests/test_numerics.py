@@ -26,6 +26,7 @@ from fluidcell.channel import _NEGLIGIBLE_Q1_GAP
 from oracles import (
     erf_quadrature,
     i0_series,
+    integrate_finite_heap,
     j0_series,
     marcum_q1_mpmath,
     marcum_quadrature,
@@ -517,3 +518,82 @@ class TestIntegrateFiniteBatch:
             integrate_finite(f, np.array([0.0, np.nan]), 1.0)
         with pytest.raises(ValueError, match="1-D"):
             integrate_finite(f, np.zeros((2, 2)), 1.0)
+
+
+def _family(count, seed):
+    """Limits and a batched integrand over ``count`` rows: smooth,
+    peaked, kinked and spiked rows in turn, every fifth one (from row 4)
+    degenerate."""
+    rng = np.random.default_rng(seed)
+    lows = rng.uniform(-2.0, 1.0, count)
+    highs = lows + rng.uniform(0.1, 4.0, count)
+    highs[4::5] = lows[4::5]
+    centers = rng.uniform(lows, highs)
+    scales = rng.uniform(1e-3, 3e-2, count)
+    kinds = np.arange(count) % 4
+
+    def f(x, rows):
+        c = centers[rows]
+        s = scales[rows]
+        return np.select(
+            [kinds[rows] == 0, kinds[rows] == 1, kinds[rows] == 2],
+            [np.exp(np.sin(3.0 * x) + c),
+             np.exp(-((x - c) / s) ** 2),
+             np.abs(x - c) + 0.5 * x],
+            1.0 / (np.abs(x - c) + s),
+        )
+
+    return lows, highs, f
+
+
+class TestArrayBookkeeping:
+    """The array store against the heap-per-row code it replaced
+    (``oracles.integrate_finite_heap``), both on the package's panel
+    sums: every row must match bit for bit."""
+
+    @pytest.mark.parametrize("count", [1, 16, 300])
+    def test_rows_equal_the_heap_per_row_code(self, count):
+        lows, highs, f = _family(count, seed=count)
+        values, errors = integrate_finite_with_error(f, lows, highs)
+        heap_values, heap_errors = integrate_finite_heap(f, lows, highs)
+        assert values.tolist() == heap_values.tolist()
+        assert errors.tolist() == heap_errors.tolist()
+        assert values[4::5].tolist() == [0.0] * len(values[4::5])
+
+    @pytest.mark.parametrize("func", [
+        np.exp,
+        lambda x: np.exp(-((x - 0.37301) / 1e-2) ** 2),
+        lambda x: np.abs(x - 0.3) + np.abs(x - 0.71),
+        _spike(0.25, 1e-3),
+        # mirrored about 0, so the two sides' intervals tie at every
+        # level and only the push order picks which one pops first
+        lambda x: np.where(np.abs(x) < 0.3, 0.7, 0.1),
+    ], ids=["smooth", "peaked", "kinked", "spiked", "tied"])
+    def test_scalar_form_equals_the_heap_per_row_code(self, func):
+        got = integrate_finite_with_error(func, -1.0, 1.0)
+        want = integrate_finite_heap(func, -1.0, 1.0)
+        assert type(got[0]) is float and type(got[1]) is float
+        assert got == want
+        assert integrate_finite_with_error(func, 0.5, 0.5) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_exhausted_budget_reports_what_the_heap_code_reports(
+        self, batched
+    ):
+        spec = QuadratureSpec(max_subdivisions=16)
+        lows, highs, f = _family(16, seed=3)
+        if not batched:
+            scalar_f = f
+            lows, highs = lows[3], highs[3]
+
+            def f(x):
+                return scalar_f(x, np.full(x.shape, 3))
+
+        with pytest.raises(ConvergenceError) as got:
+            integrate_finite_with_error(f, lows, highs, spec)
+        with pytest.raises(ConvergenceError) as want:
+            integrate_finite_heap(f, lows, highs, spec)
+        assert str(got.value) == str(want.value)
+        assert ("row 3 " in str(got.value)) == batched
+        assert got.value.estimate == want.value.estimate
+        assert got.value.error_estimate == want.value.error_estimate
