@@ -1,10 +1,21 @@
 """Monte Carlo engine cross-checking the closed-form outage path.
 
 One trial drops the receiver at a random serving distance, draws the
-interferer field and the correlated port channels, estimates the trained
-ports, runs the two-stage port selection, and flags outage on the best
-candidate's SINR. Nothing here reuses the analytic averaging; agreement
-between the two paths is the package's core validation.
+interferer field and the trained ports' channel estimates, runs the
+two-stage port selection, and flags outage on the best candidate's
+SINR. Nothing here reuses the analytic averaging; agreement between the
+two paths is the package's core validation.
+
+Selection reads only the estimates, so a trial draws them straight from
+their joint law instead of drawing channels and then estimation noise.
+By the LMMSE orthogonality principle, port q's estimate given its
+antenna's first-port channel e is gain_q * mu_q * e (mu_q the port's
+autocorrelation, 1 at port 1) plus an independent complex Gaussian: per
+antenna one normal for e and one per trained port, j + 1 complex
+normals instead of 2j. With the orthogonal split, gain = 1 - sigma_e^2;
+with explicit pilots it is the LMMSE coefficient times the pilot
+amplitude, and the independent part also carries the pilot noise at the
+realized pilot interference.
 
 Channels, interference and error variances are in units of sigma^2.
 The SINR charges the estimate's error through its variance, and each
@@ -32,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import error_variance_at, sample_correlated_channels
+from .channel import autocorrelation, error_variance_at
 from .field import (
     campbell_variance,
     mean_interference,
@@ -53,14 +64,18 @@ NEAR_FIELD_RATIO = 4.0
 
 # peak bytes of one chunk per trial: per near-field interferer (index,
 # squared distance, gain, fades and bincount's float64 weights), per
-# antenna and trained port (complex channels, estimates and their
-# temporaries), and per trial (distances, the far-field Gamma laws and
-# the shared draw, and each sum with its fresh draw); the estimate is
-# 1.08-1.75 times the tracemalloc peak of _simulate_chunk from 64 to
-# 8192 trials and from 1 to 240 antenna-port pairs
+# antenna and trained port (the normal block, its product temporary and
+# the estimated powers, plus the per-port distances, error variances and
+# gains folded in), more per port with explicit pilots (the realized
+# pilot interference), and per trial (distances, the far-field Gamma
+# laws and the shared draw, and each sum with its fresh draw); the
+# estimate is 1.05-2.06 times the tracemalloc peak of _simulate_chunk
+# from 256 to 8192 trials and from 1 to 240 antenna-port pairs (at 64
+# trials a fixed overhead of tens of kB puts it at 0.84-1.70)
 _BYTES_PER_INTERFERER = 32
-_BYTES_PER_PORT = 136
-_BYTES_PER_TRIAL = 320
+_BYTES_PER_PORT = 76
+_BYTES_PER_PILOT_PORT = 18
+_BYTES_PER_TRIAL = 336
 
 
 @dataclass(frozen=True)
@@ -87,14 +102,17 @@ def chunk_bytes(plan, cfg):
     A chunk of min(chunk_size, num_trials) trials holds on average
     NEAR_FIELD_RATIO^2 - 1 = 15 near-field interferers per trial, at any
     density (pi * lambda * rho^2 is unit exponential), plus arrays over
-    num_fas x trained ports. Arithmetic only: it builds nothing of the
-    size it estimates.
+    num_fas x trained ports, one more of them with explicit pilots.
+    Arithmetic only: it builds nothing of the size it estimates.
     """
     trials = min(plan.chunk_size, plan.num_trials)
     trained = -(-cfg.ports_per_fa // (cfg.skipped_ports + 1))
+    per_port = _BYTES_PER_PORT
+    if plan.faithful_pilots:
+        per_port += _BYTES_PER_PILOT_PORT
     per_trial = (
         _BYTES_PER_INTERFERER * (NEAR_FIELD_RATIO**2 - 1)
-        + _BYTES_PER_PORT * cfg.num_fas * trained
+        + per_port * cfg.num_fas * trained
         + _BYTES_PER_TRIAL
     )
     return int(trials * per_trial)
@@ -112,6 +130,21 @@ def _lmmse_coefficient(err, amp):
     """LMMSE gain amp / (amp^2 + noise) on amp * g + noise for a unit
     variance g, through the error variance ``err`` that the noise leaves."""
     return (1.0 - err) / amp
+
+
+def _port_estimates(rng, m, mean_gain, spread):
+    """Real and imaginary parts, shape (2, n, m, j), of the trained-port
+    estimates of ``m`` antennas: ``mean_gain`` (n, j) times the
+    antenna's first-port channel plus independent complex Gaussian
+    noise of variance ``spread`` (broadcast to (n, m, j)), drawn as one
+    block of unit complex normals, the channel first, then one per port.
+    """
+    n, j = mean_gain.shape
+    draws = rng.normal(0.0, math.sqrt(0.5), (2, n, m, j + 1))
+    est = draws[..., 1:]
+    est *= np.sqrt(spread)
+    est += mean_gain[:, None, :] * draws[..., :1]
+    return est
 
 
 def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
@@ -152,10 +185,6 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
     far_scale = far_var / far_mean
     far_shared = rng.gamma(far_shape, far_scale)
 
-    # correlated true channels at the trained ports
-    g = sample_correlated_channels(rng, cfg, n, ports)
-    scale = math.sqrt(0.5)
-
     def faded_sums():
         fades = rng.standard_exponential(total, dtype=np.float32)
         fades *= path_gain
@@ -164,11 +193,15 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
         sums += rng.gamma(far_shape, far_scale)
         return sums
 
+    # correlation of each trained port with its antenna's first port, 1
+    # at port 1 itself (autocorrelation reports 0 there by convention)
+    mu = np.array([1.0] + [autocorrelation(p, cfg) for p in ports[1:]])
     err = error_variance_at(r_ports, budget.pilot_length, net)  # (n, j)
     if plan.faithful_pilots:
-        # pilot observation per port: correlating against the unit-norm
-        # pilot collapses the interferers to one complex Gaussian whose
-        # power is the realized faded interference (not pilot-scaled)
+        # pilot observation amp * g + noise per port: correlating against
+        # the unit-norm pilot collapses the interferers to one complex
+        # Gaussian whose power is the realized faded interference (not
+        # pilot-scaled), and the estimate is coeff times the observation
         pilot_inter = np.empty((n, m, j))
         for k in range(m):
             for q in range(j):
@@ -177,29 +210,31 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
             budget.pilot_length * net.tx_power / r_ports**a
         )  # (n, j)
         coeff = _lmmse_coefficient(err, amp)
-        noise_var = net.noise_floor + net.tx_power * pilot_inter
-        zre = rng.normal(0.0, scale, (n, m, j))
-        zim = rng.normal(0.0, scale, (n, m, j))
-        y = amp[:, None, :] * g + np.sqrt(noise_var) * (zre + 1j * zim)
-        g_hat = coeff[:, None, :] * y
+        gain = coeff * amp
+        # in place: coeff^2 (N0/sigma^2 + P * interference) + the part
+        # of gain^2 that the first port's channel does not carry
+        pilot_inter *= net.tx_power
+        pilot_inter += net.noise_floor
+        pilot_inter *= (coeff**2)[:, None, :]
+        pilot_inter += (gain**2 * (1.0 - mu**2))[:, None, :]
+        spread = pilot_inter
     else:
         # orthogonal split: the estimate and the error are uncorrelated,
         # with the estimate carrying variance 1 - sigma_e^2
-        c = 1.0 - err
-        xre = rng.normal(0.0, scale, (n, m, j))
-        xim = rng.normal(0.0, scale, (n, m, j))
-        g_hat = c[:, None, :] * g + np.sqrt(c * err)[:, None, :] * (
-            xre + 1j * xim
-        )
+        gain = 1.0 - err
+        spread = (gain * (gain * (1.0 - mu**2) + err))[:, None, :]
 
-    est_power = np.abs(g_hat) ** 2
+    est = _port_estimates(rng, m, gain * mu, spread)
+    est *= est
+    est_power = est[0] + est[1]  # (n, m, j)
+    del est
     win = np.argmax(est_power, axis=2)  # (n, m); ties take the lowest port
 
     def at_winner(arr):
         full = np.broadcast_to(arr, (n, m, j))
         return np.take_along_axis(full, win[..., None], axis=2)[..., 0]
 
-    g_hat_win = at_winner(g_hat)
+    power_win = at_winner(est_power)
     r_win = at_winner(r_ports[:, None, :])
     err_win = at_winner(err[:, None, :])
 
@@ -209,7 +244,7 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
     for k in range(m):
         data_inter[:, k] = faded_sums()
 
-    sinr = np.abs(g_hat_win) ** 2 / (
+    sinr = power_win / (
         r_win**a
         * (data_inter + err_win / r_win**a + 1.0 / net.transmit_snr)
     )

@@ -243,10 +243,7 @@ def _distance_averaged(conditional, tags, anchor, net, spec):
         averaged = _averaged_over_interference(
             outage_at, model, keys.reshape(-1), spec
         )
-        density = np.array([
-            2.0 * math.pi * lam * rho * math.exp(-math.pi * lam * rho**2)
-            for rho in rhos.tolist()
-        ])
+        density = 2.0 * math.pi * lam * rhos * np.exp(-math.pi * lam * rhos**2)
         return averaged * density
 
     count = len(tags)

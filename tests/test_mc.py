@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fluidcell.mc
-from fluidcell.channel import error_variance_at
+from fluidcell.channel import autocorrelation, error_variance_at
 from fluidcell.field import NetworkConfig, campbell_variance, mean_interference
 from fluidcell.geometry import (
     FaArrayConfig,
@@ -23,6 +23,7 @@ from fluidcell.mc import (
     estimate_outage,
 )
 from fluidcell.outage import sinr_threshold
+from oracles import simulate_chunk_from_channels
 
 
 # =====================================================================
@@ -272,6 +273,146 @@ class TestFarFieldLaw:
                                        rtol=1e-12)
             np.testing.assert_allclose(2.0 * shape * scale**2, variance,
                                        rtol=1e-12)
+
+
+# =====================================================================
+# trained-port estimates drawn from their joint law
+# =====================================================================
+
+
+class _NormalCounter:
+    """A Generator that counts the normal values it is asked for."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.values = 0
+
+    def normal(self, *args, **kwargs):
+        out = self._rng.normal(*args, **kwargs)
+        self.values += np.size(out)
+        return out
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._rng.standard_normal(*args, **kwargs)
+        self.values += np.size(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestPortEstimateLaw:
+    @pytest.mark.parametrize("faithful", [False, True])
+    def test_covariance_over_port_pairs_matches_the_closed_form(
+        self, desk_cfg, desk_budget, monkeypatch, faithful
+    ):
+        # at a fixed serving distance, estimate = gain * (channel) plus
+        # independent noise, so E[g_p conj(g_q)] = gain_p gain_q R_pq
+        # plus the noise power on the diagonal, with R the channel
+        # correlation (port q = mu_q times port 1 plus independent parts)
+        # and E[g_p g_q] = 0; a weak link puts the error variance near
+        # 0.5, so the noise is a large share of every estimate
+        net = NetworkConfig(tx_power=1e-3)
+        n, rho = 20_000, 60.0
+        monkeypatch.setattr(
+            fluidcell.mc, "sample_serving_distance",
+            lambda rng, lam, size: np.full(size, rho),
+        )
+        drawn = []
+        draw = fluidcell.mc._port_estimates
+
+        def port_estimates(*args):
+            est = draw(*args)
+            drawn.append(est.copy())
+            return est
+
+        monkeypatch.setattr(fluidcell.mc, "_port_estimates", port_estimates)
+        plan = TrialPlan(num_trials=n, faithful_pilots=faithful)
+        fluidcell.mc._simulate_chunk(
+            np.random.default_rng(21), n, desk_cfg, net, desk_budget,
+            sinr_threshold(1.0, desk_budget), plan,
+        )
+        (est,) = drawn
+        g_hat = est[0] + 1j * est[1]  # (n, m, j)
+
+        ports = trained_port_indices(desk_cfg)
+        mu = np.array([1.0] + [autocorrelation(p, desk_cfg)
+                               for p in ports[1:]])
+        corr = np.outer(mu, mu)
+        np.fill_diagonal(corr, 1.0)
+        r = np.array([link_distance(p, rho, desk_cfg) for p in ports])
+        err = error_variance_at(r, desk_budget.pilot_length, net)
+        if faithful:
+            amp = np.sqrt(desk_budget.pilot_length * net.tx_power
+                          / r**net.path_loss_exponent)
+            coeff = (1.0 - err) / amp
+            gain = coeff * amp
+            # the pilot interference averages to the Campbell mean past rho
+            noise = coeff**2 * (
+                net.noise_floor + net.tx_power * mean_interference(rho, net)
+            )
+        else:
+            gain = 1.0 - err
+            noise = gain * err
+        expected = np.outer(gain, gain) * corr + np.diag(noise)
+
+        j = len(ports)
+        for p in range(j):
+            for q in range(j):
+                # one sample per trial: antennas share its interferers
+                cov = (g_hat[..., p] * np.conj(g_hat[..., q])).mean(axis=1)
+                pseudo = (g_hat[..., p] * g_hat[..., q]).mean(axis=1)
+                for sample, value in (
+                    (cov.real, expected[p, q]), (cov.imag, 0.0),
+                    (pseudo.real, 0.0), (pseudo.imag, 0.0),
+                ):
+                    se = sample.std() / math.sqrt(n)
+                    assert abs(sample.mean() - value) < 4.0 * se, (p, q)
+
+    @pytest.mark.parametrize("faithful", [False, True])
+    @pytest.mark.parametrize("array", ["stock", "desk"])
+    def test_outage_matches_the_channel_first_oracle(
+        self, stock_cfg, stock_budget, desk_cfg, desk_budget, array,
+        faithful
+    ):
+        # the same law sampled two ways, each with its own seed: channels
+        # then estimation noise (oracle) against the estimates directly
+        cfg, budget = {
+            "stock": (stock_cfg, stock_budget),
+            "desk": (desk_cfg, desk_budget),
+        }[array]
+        net = NetworkConfig(bs_density=1e-3)
+        n = 20_000
+        plan = TrialPlan(num_trials=n, faithful_pilots=faithful)
+        target = sinr_threshold(1.0, budget)
+        shipped = fluidcell.mc._simulate_chunk(
+            np.random.default_rng(31), n, cfg, net, budget, target, plan
+        ) / n
+        oracle = simulate_chunk_from_channels(
+            np.random.default_rng(32), n, cfg, net, budget, target, plan
+        ) / n
+        se = math.sqrt((shipped * (1.0 - shipped)
+                        + oracle * (1.0 - oracle)) / n)
+        assert abs(shipped - oracle) < 3.0 * se
+
+    @pytest.mark.parametrize("faithful", [False, True])
+    @pytest.mark.parametrize("array", ["stock", "desk"])
+    def test_draws_j_plus_one_complex_normals_per_antenna(
+        self, stock_cfg, stock_budget, desk_cfg, desk_budget, array,
+        faithful
+    ):
+        cfg, budget = {
+            "stock": (stock_cfg, stock_budget),
+            "desk": (desk_cfg, desk_budget),
+        }[array]
+        n = 256
+        rng = _NormalCounter(np.random.default_rng(4))
+        fluidcell.mc._simulate_chunk(
+            rng, n, cfg, NetworkConfig(), budget, sinr_threshold(1.0, budget),
+            TrialPlan(num_trials=n, faithful_pilots=faithful),
+        )
+        j = len(trained_port_indices(cfg))
+        assert rng.values == 2 * n * cfg.num_fas * (j + 1)
 
 
 # =====================================================================
