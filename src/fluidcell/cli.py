@@ -44,7 +44,12 @@ from .geometry import (
     trained_port_indices,
 )
 from .mc import TrialPlan, chunk_bytes, estimate_outage
-from .outage import averaged_outage_bounds, outage_probability, sinr_threshold
+from .outage import (
+    averaged_outage_bounds,
+    outage_bytes,
+    outage_probability,
+    sinr_threshold,
+)
 
 __all__ = [
     "ConfigError",
@@ -102,12 +107,6 @@ _MAX_GRID_POINTS = 1000
 # every preset needs at most ~1.3 GB even with all its points running
 # together
 _MEMORY_BUDGET = 2 * 2**30
-# analytic engine: one conditional-outage call takes at most 4,096
-# (distance, interference) pairs (outage._PAIRS_PER_CALL) and holds about
-# six float64 arrays over pairs x trained ports; the Marcum Q groups of
-# the joint magnitude cdf add a fixed share
-_ANALYTIC_BYTES_PER_PORT = 4096 * 6 * 8
-_ANALYTIC_FIXED_BYTES = 40 * 2**20
 
 # stock values; every key can be overridden in the config file. The
 # network, array and fluid values are their dataclasses' field defaults.
@@ -400,18 +399,6 @@ def _run_engines(run, index, spec, cfg, budget, target, mode):
             ))
 
 
-def _analytic_bytes(array):
-    """Estimated peak memory in bytes of one analytic outage at ``array``.
-
-    A refinement round passes its (distance, interference) pairs to the
-    conditional outage in calls of at most 4,096 pairs, each pair with
-    one threshold per trained port. Arithmetic only, like
-    ``mc.chunk_bytes``: it builds nothing of the size it estimates.
-    """
-    trained = -(-array.ports_per_fa // (array.skipped_ports + 1))
-    return trained * _ANALYTIC_BYTES_PER_PORT + _ANALYTIC_FIXED_BYTES
-
-
 def _check_memory(configs, engines, concurrent):
     """Refuse configs whose engines, ``concurrent`` grid points at once,
     would pass the memory budget.
@@ -438,7 +425,7 @@ def _check_memory(configs, engines, concurrent):
               "lower chunk_size, trials or ports_per_fa")
     if "analytic" in engines:
         check("analytic outage arrays",
-              [_analytic_bytes(c.array) for c in configs],
+              [outage_bytes(c.array) for c in configs],
               "lower ports_per_fa or raise skipped_ports")
 
 

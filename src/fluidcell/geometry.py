@@ -24,6 +24,7 @@ __all__ = [
     "fluid_velocity",
     "switching_delay",
     "trained_port_indices",
+    "trained_port_count",
     "build_frame_budget",
 ]
 
@@ -86,8 +87,6 @@ class FrameBudget:
     requires it to be strictly positive.
     """
 
-    coherence_bandwidth: float   # Hz
-    coherence_time: float        # s
     total_uses: int              # channel uses in the block
     estimation_uses: int         # uses reserved for training
     data_uses: int               # uses left for payload
@@ -156,6 +155,11 @@ def trained_port_indices(cfg):
     return tuple(range(1, cfg.ports_per_fa + 1, cfg.skipped_ports + 1))
 
 
+def trained_port_count(cfg):
+    """``len(trained_port_indices(cfg))``, building no index set."""
+    return -(-cfg.ports_per_fa // (cfg.skipped_ports + 1))
+
+
 def build_frame_budget(cfg, params, coherence_bandwidth, coherence_time,
                        estimation_fraction):
     """Split one coherence block into training, switching, and data time.
@@ -180,9 +184,7 @@ def build_frame_budget(cfg, params, coherence_bandwidth, coherence_time,
     if data < 1:
         raise InfeasibleFrameError("data share below one channel use")
 
-    count = len(trained_port_indices(cfg))
-    if count != math.ceil(cfg.ports_per_fa / (cfg.skipped_ports + 1)):
-        raise AssertionError("trained port set inconsistent with stride")
+    count = trained_port_count(cfg)
 
     if count == 1:
         switching = 0.0
@@ -198,8 +200,6 @@ def build_frame_budget(cfg, params, coherence_bandwidth, coherence_time,
         )
 
     return FrameBudget(
-        coherence_bandwidth=float(coherence_bandwidth),
-        coherence_time=float(coherence_time),
         total_uses=int(total),
         estimation_uses=int(estimation),
         data_uses=int(data),

@@ -12,9 +12,9 @@ By the LMMSE orthogonality principle, port q's estimate given its
 antenna's first-port channel e is gain_q * mu_q * e (mu_q the port's
 autocorrelation, 1 at port 1) plus an independent complex Gaussian: per
 antenna one normal for e and one per trained port, j + 1 complex
-normals instead of 2j. With the orthogonal split, gain = 1 - sigma_e^2;
-with explicit pilots it is the LMMSE coefficient times the pilot
-amplitude, and the independent part also carries the pilot noise at the
+normals instead of 2j. Both pilot models have gain = 1 - sigma_e^2 (the
+explicit pilots' coefficient times their amplitude); with explicit
+pilots the independent part also carries the pilot noise at the
 realized pilot interference.
 
 Channels, interference and error variances are in units of sigma^2.
@@ -49,7 +49,12 @@ from .field import (
     mean_interference,
     sample_serving_distance,
 )
-from .geometry import link_distance, port_displacement, trained_port_indices
+from .geometry import (
+    link_distance,
+    port_displacement,
+    trained_port_count,
+    trained_port_indices,
+)
 
 __all__ = [
     "TrialPlan",
@@ -69,12 +74,12 @@ NEAR_FIELD_RATIO = 4.0
 # gains folded in), more per port with explicit pilots (the realized
 # pilot interference), and per trial (distances, the far-field Gamma
 # laws and the shared draw, and each sum with its fresh draw); the
-# estimate is 1.05-2.06 times the tracemalloc peak of _simulate_chunk
+# estimate is 1.07-2.26 times the tracemalloc peak of _simulate_chunk
 # from 256 to 8192 trials and from 1 to 240 antenna-port pairs (at 64
-# trials a fixed overhead of tens of kB puts it at 0.84-1.70)
+# trials a fixed overhead of tens of kB puts it at 0.85-1.68)
 _BYTES_PER_INTERFERER = 32
 _BYTES_PER_PORT = 76
-_BYTES_PER_PILOT_PORT = 18
+_BYTES_PER_PILOT_PORT = 10
 _BYTES_PER_TRIAL = 336
 
 
@@ -106,7 +111,7 @@ def chunk_bytes(plan, cfg):
     Arithmetic only: it builds nothing of the size it estimates.
     """
     trials = min(plan.chunk_size, plan.num_trials)
-    trained = -(-cfg.ports_per_fa // (cfg.skipped_ports + 1))
+    trained = trained_port_count(cfg)
     per_port = _BYTES_PER_PORT
     if plan.faithful_pilots:
         per_port += _BYTES_PER_PILOT_PORT
@@ -147,14 +152,12 @@ def _port_estimates(rng, m, mean_gain, spread):
     return est
 
 
-def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
-    """Simulate ``n`` trials; returns the outage count."""
+def _sample_field(rng, n, cfg, net):
+    """The (n, j) trained-port link distances of ``n`` trials and their
+    field's ``faded_sums()``: one interference sum per trial per call."""
     lam = net.bs_density
     a = net.path_loss_exponent
-    m = cfg.num_fas
-    ports = trained_port_indices(cfg)
-    j = len(ports)
-    d = np.array([port_displacement(p, cfg) for p in ports])
+    d = np.array([port_displacement(p, cfg) for p in trained_port_indices(cfg)])
 
     rho = sample_serving_distance(rng, lam, size=n)
     r_ports = np.sqrt(rho[:, None] ** 2 + d[None, :] ** 2)  # (n, j)
@@ -193,41 +196,50 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
         sums += rng.gamma(far_shape, far_scale)
         return sums
 
+    return r_ports, faded_sums
+
+
+def _estimate_powers(rng, r_ports, err, faded_sums, cfg, net, budget, plan):
+    """Powers (n, m, j) of the trained-port estimates, drawn from their
+    joint law at link distances ``r_ports`` and error variances ``err``."""
+    n, j = r_ports.shape
+    m = cfg.num_fas
+    ports = trained_port_indices(cfg)
+
     # correlation of each trained port with its antenna's first port, 1
     # at port 1 itself (autocorrelation reports 0 there by convention)
     mu = np.array([1.0] + [autocorrelation(p, cfg) for p in ports[1:]])
-    err = error_variance_at(r_ports, budget.pilot_length, net)  # (n, j)
+    # LMMSE gain on the channel, 1 - sigma_e^2 by orthogonality for both
+    # pilot models (the explicit pilots' coefficient times amplitude)
+    gain = 1.0 - err
     if plan.faithful_pilots:
-        # pilot observation amp * g + noise per port: correlating against
-        # the unit-norm pilot collapses the interferers to one complex
-        # Gaussian whose power is the realized faded interference (not
-        # pilot-scaled), and the estimate is coeff times the observation
-        pilot_inter = np.empty((n, m, j))
+        # correlating each port's pilot observation against the unit-norm
+        # pilot collapses the interferers to one complex Gaussian of the
+        # realized power I, so the noise is gain^2 r^a (I + 1/SNR) / L at
+        # pilot length L, next to the gain^2 the first port's channel misses
+        spread = np.empty((n, m, j))
         for k in range(m):
             for q in range(j):
-                pilot_inter[:, k, q] = faded_sums()
-        amp = np.sqrt(
-            budget.pilot_length * net.tx_power / r_ports**a
-        )  # (n, j)
-        coeff = _lmmse_coefficient(err, amp)
-        gain = coeff * amp
-        # in place: coeff^2 (N0/sigma^2 + P * interference) + the part
-        # of gain^2 that the first port's channel does not carry
-        pilot_inter *= net.tx_power
-        pilot_inter += net.noise_floor
-        pilot_inter *= (coeff**2)[:, None, :]
-        pilot_inter += (gain**2 * (1.0 - mu**2))[:, None, :]
-        spread = pilot_inter
+                spread[:, k, q] = faded_sums()
+        spread += 1.0 / net.transmit_snr
+        spread *= (r_ports**net.path_loss_exponent
+                   / budget.pilot_length)[:, None, :]
+        spread += 1.0 - mu**2
+        spread *= (gain**2)[:, None, :]
     else:
-        # orthogonal split: the estimate and the error are uncorrelated,
-        # with the estimate carrying variance 1 - sigma_e^2
-        gain = 1.0 - err
+        # orthogonal split: the estimate and the error are uncorrelated
         spread = (gain * (gain * (1.0 - mu**2) + err))[:, None, :]
 
     est = _port_estimates(rng, m, gain * mu, spread)
     est *= est
-    est_power = est[0] + est[1]  # (n, m, j)
-    del est
+    return est[0] + est[1]
+
+
+def _count_outages(est_power, r_ports, err, faded_sums, net, target):
+    """Outage count: each antenna keeps its strongest of ``est_power``
+    (n, m, j), and every candidate misses over fresh ``faded_sums()``."""
+    n, m, j = est_power.shape
+    a = net.path_loss_exponent
     win = np.argmax(est_power, axis=2)  # (n, m); ties take the lowest port
 
     def at_winner(arr):
@@ -249,6 +261,17 @@ def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
         * (data_inter + err_win / r_win**a + 1.0 / net.transmit_snr)
     )
     return int((sinr.max(axis=1) < target.threshold).sum())
+
+
+def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
+    """Simulate ``n`` trials; returns the outage count."""
+    r_ports, faded_sums = _sample_field(rng, n, cfg, net)
+    err = error_variance_at(r_ports, budget.pilot_length, net)  # (n, j)
+    # nested: the estimate block dies before the count stage, the powers
+    # right after it, so glibc keeps its heap top for the next chunk
+    return _count_outages(_estimate_powers(rng, r_ports, err, faded_sums,
+                                           cfg, net, budget, plan),
+                          r_ports, err, faded_sums, net, target)
 
 
 def estimate_outage(plan, cfg, net, budget, target, workers=1,

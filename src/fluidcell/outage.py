@@ -25,6 +25,7 @@ from .field import campbell_mean, gamma_interference_model
 from .geometry import (
     link_distances,
     port_displacement,
+    trained_port_count,
     trained_port_indices,
 )
 from .numerics import QuadratureSpec, integrate_finite
@@ -37,6 +38,7 @@ __all__ = [
     "conditional_outage_bounds",
     "outage_probability",
     "averaged_outage_bounds",
+    "outage_bytes",
 ]
 
 # Serving-distance mass ignored by the truncated outer integral; the
@@ -45,6 +47,17 @@ DISTANCE_TAIL = 1e-12
 # Distinct (distance, interference) pairs per conditional-outage call: a
 # round's threshold rows stay bounded at any trained-port count.
 _PAIRS_PER_CALL = 4096
+# peak bytes of one outage: about six float64 arrays over a call's pairs
+# x trained ports, plus a fixed share for the joint cdf's Marcum Q groups
+_BYTES_PER_PORT = _PAIRS_PER_CALL * 6 * 8
+_FIXED_BYTES = 40 * 2**20
+
+
+def outage_bytes(cfg):
+    """Estimated peak bytes of one outage probability at ``cfg``, whose
+    conditional-outage calls take at most ``_PAIRS_PER_CALL`` pairs of one
+    threshold per trained port. Arithmetic, like ``mc.chunk_bytes``."""
+    return trained_port_count(cfg) * _BYTES_PER_PORT + _FIXED_BYTES
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
-"""Fill in the golden CSVs of the analytic and bounds engines.
+"""Fill in the golden CSVs of the analytic, bounds and Monte Carlo engines.
 
 Each run in ``RUNS`` goes through ``cli.main`` as the command line would
 run it, and its rows, minus ``wall_ms``, are written to
-``tests/reference/<name>.csv``. A refactor of the analytic path must
-leave every cell of both files as it is, so only a change that is meant
-to move an estimate regenerates them. Run from the repository root
-(a few seconds):
+``tests/reference/<name>.csv``. A refactor of the analytic path or of
+the simulator must leave every cell of these files as it is, so only a
+change that is meant to move an estimate regenerates them. The two
+Monte Carlo runs fix their seed, so their cells also pin numpy's
+Generator streams, which numpy does not promise to keep across
+versions. Run from the repository root (a few seconds):
 
     PYTHONPATH=src python tests/make_analytic_reference.py
 
-``tests/test_analytic_reference.py`` reruns both and compares cell by
-cell.
+``tests/test_analytic_reference.py`` reruns every run and compares cell
+by cell.
 """
 
 import csv
@@ -23,6 +25,7 @@ REFERENCE_DIR = Path(__file__).with_name("reference")
 DESK_CONFIG = (Path(__file__).resolve().parent.parent
                / "perfbench" / "configs" / "desk.cfg")
 ENGINES = ["--engines", "analytic,bounds", "--interference-limited"]
+MC_ENGINE = ["--engines", "monte-carlo", "--trials", "4096", "--seed", "7"]
 
 RUNS = {
     # stock 4 x 15 array over the fig3 transmit powers
@@ -31,6 +34,16 @@ RUNS = {
     "analytic_desk_density": [
         "--config", str(DESK_CONFIG),
         "--sweep", "bs-density=5e-5:1e-3:3", *ENGINES,
+    ],
+    # the simulator on the desk array over a density sweep, with the
+    # explicit pilot phase that desk.cfg switches on
+    "mc_desk_density": [
+        "--config", str(DESK_CONFIG),
+        "--sweep", "bs-density=5e-5:1e-3:3", *MC_ENGINE,
+    ],
+    # the simulator on the stock array over transmit powers, default pilots
+    "mc_stock_power": [
+        "--sweep", "tx-power=0.01:100:3", *MC_ENGINE,
     ],
 }
 

@@ -14,13 +14,8 @@ from scipy import integrate
 
 from fluidcell import ConvergenceError, QuadratureSpec, bessel_i0e
 from fluidcell.channel import error_variance_at, sample_correlated_channels
-from fluidcell.field import (
-    campbell_variance,
-    mean_interference,
-    sample_serving_distance,
-)
-from fluidcell.geometry import port_displacement, trained_port_indices
-from fluidcell.mc import NEAR_FIELD_RATIO, _lmmse_coefficient
+from fluidcell.geometry import trained_port_indices
+from fluidcell.mc import _count_outages, _lmmse_coefficient, _sample_field
 from fluidcell.numerics import _EPS, _gl_panels
 
 
@@ -244,62 +239,26 @@ def integrate_finite_heap(f, a, b, spec=QuadratureSpec()):
     return values[0], errors[0]
 
 
-# The Monte Carlo chunk as it was written before it drew the estimates
-# from their joint law, kept as the reference for that law: it draws the
-# true channels, then the estimation noise (or the pilot observation)
-# on top of them. Everything but that block matches mc._simulate_chunk.
+# The Monte Carlo chunk's estimate law as it was written before the
+# chunk drew the estimates from their joint law, kept as the reference
+# for that law: it draws the true channels, then the estimation noise
+# (or the pilot observation) on top of them, with the LMMSE coefficient
+# worked out from the pilot amplitude. The field and the port selection
+# are mc's own stages.
 def simulate_chunk_from_channels(rng, n, cfg, net, budget, target, plan):
     """The Monte Carlo chunk as it drew correlated channels first and
     then estimated them: ``mc._simulate_chunk``'s law through the
     channel draw, the orthogonal split and the explicit pilot
     observation. Returns the outage count."""
-    lam = net.bs_density
+    r_ports, faded_sums = _sample_field(rng, n, cfg, net)
     a = net.path_loss_exponent
     m = cfg.num_fas
     ports = trained_port_indices(cfg)
     j = len(ports)
-    d = np.array([port_displacement(p, cfg) for p in ports])
-
-    rho = sample_serving_distance(rng, lam, size=n)
-    r_ports = np.sqrt(rho[:, None] ** 2 + d[None, :] ** 2)  # (n, j)
-
-    # interferer positions, shared by every port and candidate in a trial
-    radius = NEAR_FIELD_RATIO * rho
-    counts = rng.poisson(lam * math.pi * (radius**2 - rho**2))
-    total = int(counts.sum())
-    trial_idx = np.repeat(np.arange(n), counts)
-    # the per-point arrays dominate the run time; single precision is
-    # plenty for fade sums that are only read back through bincount
-    sq = np.repeat((rho**2).astype(np.float32), counts)
-    span = np.repeat((radius**2 - rho**2).astype(np.float32), counts)
-    span *= rng.random(total, dtype=np.float32)
-    sq += span
-    del span
-    if a == 4.0:
-        path_gain = 1.0 / (sq * sq)
-    else:
-        path_gain = sq ** np.float32(-0.5 * a)
-    del sq
-
-    # far field: half its Campbell variance comes from the positions and
-    # is drawn once per trial, half from the fades and drawn per sum
-    far_mean = mean_interference(radius, net)
-    far_var = campbell_variance(radius ** (2.0 - 2.0 * a), net)
-    far_shape = far_mean**2 / (2.0 * far_var)
-    far_scale = far_var / far_mean
-    far_shared = rng.gamma(far_shape, far_scale)
 
     # correlated true channels at the trained ports
     g = sample_correlated_channels(rng, cfg, n, ports)
     scale = math.sqrt(0.5)
-
-    def faded_sums():
-        fades = rng.standard_exponential(total, dtype=np.float32)
-        fades *= path_gain
-        sums = np.bincount(trial_idx, weights=fades, minlength=n)
-        sums += far_shared
-        sums += rng.gamma(far_shape, far_scale)
-        return sums
 
     err = error_variance_at(r_ports, budget.pilot_length, net)  # (n, j)
     if plan.faithful_pilots:
@@ -310,9 +269,7 @@ def simulate_chunk_from_channels(rng, n, cfg, net, budget, target, plan):
         for k in range(m):
             for q in range(j):
                 pilot_inter[:, k, q] = faded_sums()
-        amp = np.sqrt(
-            budget.pilot_length * net.tx_power / r_ports**a
-        )  # (n, j)
+        amp = np.sqrt(budget.pilot_length * net.tx_power / r_ports**a)
         coeff = _lmmse_coefficient(err, amp)
         noise_var = net.noise_floor + net.tx_power * pilot_inter
         zre = rng.normal(0.0, scale, (n, m, j))
@@ -329,25 +286,5 @@ def simulate_chunk_from_channels(rng, n, cfg, net, budget, target, plan):
             xre + 1j * xim
         )
 
-    est_power = np.abs(g_hat) ** 2
-    win = np.argmax(est_power, axis=2)  # (n, m); ties take the lowest port
-
-    def at_winner(arr):
-        full = np.broadcast_to(arr, (n, m, j))
-        return np.take_along_axis(full, win[..., None], axis=2)[..., 0]
-
-    g_hat_win = at_winner(g_hat)
-    r_win = at_winner(r_ports[:, None, :])
-    err_win = at_winner(err[:, None, :])
-
-    # stage-2 candidates see freshly drawn interferer fades over the
-    # shared positions (uncorrelated branches)
-    data_inter = np.empty((n, m))
-    for k in range(m):
-        data_inter[:, k] = faded_sums()
-
-    sinr = np.abs(g_hat_win) ** 2 / (
-        r_win**a
-        * (data_inter + err_win / r_win**a + 1.0 / net.transmit_snr)
-    )
-    return int((sinr.max(axis=1) < target.threshold).sum())
+    return _count_outages(np.abs(g_hat) ** 2, r_ports, err, faded_sums,
+                          net, target)

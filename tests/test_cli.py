@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,18 +28,7 @@ from fluidcell.cli import (
     main,
     run_sweep,
 )
-from fluidcell import (
-    FaArrayConfig,
-    FluidParams,
-    NetworkConfig,
-    build_frame_budget,
-    conditional_outage,
-    outage_probability,
-    sinr_threshold,
-)
-from fluidcell.cli import _analytic_bytes
 from fluidcell.mc import chunk_bytes
-from fluidcell.outage import _PAIRS_PER_CALL
 
 
 @pytest.fixture(autouse=True)
@@ -545,18 +533,21 @@ class TestMain:
     def test_channel_variance_enters_through_the_snr_only(self, tmp_path):
         # sigma^2 = 2 at half the power has the stock transmit SNR, and
         # every variance is in units of sigma^2, so the cells match the
-        # stock config's
+        # stock config's, with default and with explicit pilots
         args = ["--sweep", "bs-density=5e-5:1e-4:2", "--trials", "512",
                 "--engines", "analytic,bounds,monte-carlo",
                 "--interference-limited", "--seed", "3"]
-        cells = []
-        for config in ([], ["--config", write_config(
-                tmp_path, "channel_variance = 2\ntx_power = 0.5\n")]):
-            out = str(tmp_path / "rows.csv")
-            assert main(config + args + ["--out", out]) == 0
-            cells.append([{**row, "wall_ms": ""} for row in read_rows(out)])
-        assert cells[0] == cells[1]
-        assert all(v for k, v in cells[0][0].items() if k != "wall_ms")
+        for pilots in ("", "faithful_pilots = 1\n"):
+            cells = []
+            for text in (pilots,
+                         pilots + "channel_variance = 2\ntx_power = 0.5\n"):
+                out = str(tmp_path / "rows.csv")
+                config = ["--config", write_config(tmp_path, text)]
+                assert main(config + args + ["--out", out]) == 0
+                cells.append(
+                    [{**row, "wall_ms": ""} for row in read_rows(out)])
+            assert cells[0] == cells[1]
+            assert all(v for k, v in cells[0][0].items() if k != "wall_ms")
 
     def test_trials_and_seed_overrides(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)
@@ -789,54 +780,6 @@ class TestMemoryGuard:
         ])
         assert len(errors) == 1 and "at most" in errors[0]
         assert not (tmp_path / "rows.csv").exists()
-
-
-def _traced_peak(compute):
-    tracemalloc.start()
-    try:
-        compute()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-class TestAnalyticBytes:
-    @staticmethod
-    def _inputs(ports, skipped, density):
-        cfg = FaArrayConfig(num_fas=1, ports_per_fa=ports,
-                            skipped_ports=skipped)
-        net = NetworkConfig(bs_density=density)
-        budget = build_frame_budget(cfg, FluidParams(), 1e8, 0.05, 0.16)
-        return cfg, net, budget, sinr_threshold(1.0, budget)
-
-    @pytest.mark.parametrize("ports, skipped", [(15, 1), (32, 0)])
-    def test_bounds_the_traced_peak_of_a_full_call(self, ports, skipped):
-        # the largest conditional-outage call a round makes
-        cfg, net, budget, target = self._inputs(ports, skipped, 5e-3)
-        rng = np.random.default_rng(4)
-        rhos = rng.uniform(1.0, 20.0, _PAIRS_PER_CALL)
-        gammas = rng.exponential(1e-4, _PAIRS_PER_CALL)
-        peak = _traced_peak(lambda: conditional_outage(
-            rhos, gammas, cfg, net, budget, target))
-        assert peak <= _analytic_bytes(cfg) <= 2 * peak
-
-    @pytest.mark.parametrize("mode", ["common-gamma", "per-port-gamma"])
-    def test_bounds_the_traced_peak_of_an_outage(self, mode):
-        cfg, net, budget, target = self._inputs(15, 1, 1e-3)
-        peak = _traced_peak(lambda: outage_probability(
-            cfg, net, budget, target, mode=mode))
-        assert peak <= _analytic_bytes(cfg)
-
-    def test_grows_with_trained_ports_only(self):
-        def size(ports, skipped):
-            return _analytic_bytes(FaArrayConfig(
-                ports_per_fa=ports, skipped_ports=skipped))
-
-        assert size(15, 1) == size(8, 0)
-        # six float64 arrays over the largest call's pairs, per port
-        assert size(16, 0) - size(15, 0) == _PAIRS_PER_CALL * 6 * 8
-        assert size(30, 0) - size(15, 0) == 15 * (size(16, 0) - size(15, 0))
-        assert size(10**9, 1) > 10**13
 
 
 def _main_under_address_limit(argv):

@@ -14,6 +14,7 @@ from fluidcell import (
     link_distance,
     port_displacement,
     switching_delay,
+    trained_port_count,
     trained_port_indices,
 )
 from fluidcell.geometry import link_distances
@@ -146,6 +147,7 @@ class TestTrainedPorts:
         ports = trained_port_indices(cfg)
         assert ports[0] == 1
         assert len(ports) == math.ceil(n / (nu + 1))
+        assert trained_port_count(cfg) == len(ports)
         assert all(b - a == nu + 1 for a, b in zip(ports, ports[1:]))
         assert ports[-1] <= n
 

@@ -1,6 +1,7 @@
 """Tests for outage thresholds, conditional laws, bounds, and averaging."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,10 +23,12 @@ from fluidcell.geometry import (
 )
 from fluidcell.numerics import QuadratureSpec, marcum_q1
 from fluidcell.outage import (
+    _PAIRS_PER_CALL,
     RateTarget,
     averaged_outage_bounds,
     conditional_outage,
     conditional_outage_bounds,
+    outage_bytes,
     outage_probability,
     outage_thresholds,
     sinr_threshold,
@@ -533,3 +536,51 @@ class TestAveragedOutageBounds:
         )
         np.testing.assert_allclose(lower4, lower**2, rtol=1e-10)
         np.testing.assert_allclose(upper4, upper**2, rtol=1e-10)
+
+
+def _traced_peak(compute):
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAnalyticBytes:
+    @staticmethod
+    def _inputs(ports, skipped, density):
+        cfg = FaArrayConfig(num_fas=1, ports_per_fa=ports,
+                            skipped_ports=skipped)
+        net = NetworkConfig(bs_density=density)
+        budget = build_frame_budget(cfg, FluidParams(), 1e8, 0.05, 0.16)
+        return cfg, net, budget, sinr_threshold(1.0, budget)
+
+    @pytest.mark.parametrize("ports, skipped", [(15, 1), (32, 0)])
+    def test_bounds_the_traced_peak_of_a_full_call(self, ports, skipped):
+        # the largest conditional-outage call a round makes
+        cfg, net, budget, target = self._inputs(ports, skipped, 5e-3)
+        rng = np.random.default_rng(4)
+        rhos = rng.uniform(1.0, 20.0, _PAIRS_PER_CALL)
+        gammas = rng.exponential(1e-4, _PAIRS_PER_CALL)
+        peak = _traced_peak(lambda: conditional_outage(
+            rhos, gammas, cfg, net, budget, target))
+        assert peak <= outage_bytes(cfg) <= 2 * peak
+
+    @pytest.mark.parametrize("mode", ["common-gamma", "per-port-gamma"])
+    def test_bounds_the_traced_peak_of_an_outage(self, mode):
+        cfg, net, budget, target = self._inputs(15, 1, 1e-3)
+        peak = _traced_peak(lambda: outage_probability(
+            cfg, net, budget, target, mode=mode))
+        assert peak <= outage_bytes(cfg)
+
+    def test_grows_with_trained_ports_only(self):
+        def size(ports, skipped):
+            return outage_bytes(FaArrayConfig(
+                ports_per_fa=ports, skipped_ports=skipped))
+
+        assert size(15, 1) == size(8, 0)
+        # six float64 arrays over the largest call's pairs, per port
+        assert size(16, 0) - size(15, 0) == _PAIRS_PER_CALL * 6 * 8
+        assert size(30, 0) - size(15, 0) == 15 * (size(16, 0) - size(15, 0))
+        assert size(10**9, 1) > 10**13
