@@ -12,10 +12,11 @@ By the LMMSE orthogonality principle, port q's estimate given its
 antenna's first-port channel e is gain_q * mu_q * e (mu_q the port's
 autocorrelation, 1 at port 1) plus an independent complex Gaussian: per
 antenna one normal for e and one per trained port, j + 1 complex
-normals instead of 2j. Both pilot models have gain = 1 - sigma_e^2 (the
-explicit pilots' coefficient times their amplitude); with explicit
-pilots the independent part also carries the pilot noise at the
-realized pilot interference.
+normals instead of 2j, drawn and scaled in single precision since
+selection only compares them. Both pilot models have gain =
+1 - sigma_e^2 (the explicit pilots' coefficient times their
+amplitude); with explicit pilots the independent part also carries the
+pilot noise at the realized pilot interference.
 
 Channels, interference and error variances are in units of sigma^2.
 The SINR charges the estimate's error through its variance, and each
@@ -30,9 +31,10 @@ trial, shared like the positions, and one per draw, fresh like the
 fades, each with mean m/2 and variance v/2. Their sum has the far
 field's mean, variance, and covariance v/2 between draws of a trial.
 
-Trials run in fixed-size chunks, each with its own counter-derived
-random stream, so results are identical for any worker count and the
-worker pool only changes wall time.
+Trials run in fixed-size chunks, each with its own SFC64 stream seeded
+from the plan's seed and the chunk's SeedSequence spawn key, so results
+are identical for any worker count and the worker pool only changes
+wall time.
 """
 
 from __future__ import annotations
@@ -67,20 +69,26 @@ __all__ = [
 # enters through Gamma draws matched to its Campbell mean and variance
 NEAR_FIELD_RATIO = 4.0
 
-# peak bytes of one chunk per trial: per near-field interferer (index,
-# squared distance, gain, fades and bincount's float64 weights), per
-# antenna and trained port (the normal block, its product temporary and
-# the estimated powers, plus the per-port distances, error variances and
-# gains folded in), more per port with explicit pilots (the realized
-# pilot interference), and per trial (distances, the far-field Gamma
-# laws and the shared draw, and each sum with its fresh draw); the
-# estimate is 1.07-2.26 times the tracemalloc peak of _simulate_chunk
-# from 256 to 8192 trials and from 1 to 240 antenna-port pairs (at 64
-# trials a fixed overhead of tens of kB puts it at 0.85-1.68)
-_BYTES_PER_INTERFERER = 32
-_BYTES_PER_PORT = 76
-_BYTES_PER_PILOT_PORT = 10
-_BYTES_PER_TRIAL = 336
+# peak bytes of one chunk: a fixed share (the port geometry and
+# correlations, index temporaries, interpreter objects), then per trial
+# a share per near-field interferer (index, float32 gain, the float64
+# fades buffer), per antenna and trained port (the float32 normal
+# block, its product temporary and the powers, with the per-port
+# distances, error variances and scales folded in), more per port with
+# explicit pilots (the float32 scale of the realized pilot
+# interference), and per trial (the far-field Gamma laws, the shared
+# draw, each sum with its fresh draw). The chunk's marginal cost is
+# 19-25 bytes per antenna and trained port; a share of 50 keeps the
+# estimate of an absurd port count above 1e14 bytes (4 antennas of
+# 5e8 trained ports, 1000 trials), and the other shares are fitted
+# under it. The estimate is then 1.01-2.49 times the tracemalloc peak
+# of _simulate_chunk from 64 to 8192 trials, 1 to 8 antennas and 1 to
+# 30 trained ports, the high end at many antenna-port pairs
+_FIXED_BYTES = 24_000
+_BYTES_PER_INTERFERER = 20
+_BYTES_PER_PORT = 50
+_BYTES_PER_PILOT_PORT = 4
+_BYTES_PER_TRIAL = 64
 
 
 @dataclass(frozen=True)
@@ -104,10 +112,11 @@ class TrialPlan:
 def chunk_bytes(plan, cfg):
     """Estimated peak memory in bytes of one chunk of ``plan`` at ``cfg``.
 
-    A chunk of min(chunk_size, num_trials) trials holds on average
-    NEAR_FIELD_RATIO^2 - 1 = 15 near-field interferers per trial, at any
-    density (pi * lambda * rho^2 is unit exponential), plus arrays over
-    num_fas x trained ports, one more of them with explicit pilots.
+    A fixed share plus one per trial, for min(chunk_size, num_trials)
+    trials. A trial holds on average NEAR_FIELD_RATIO^2 - 1 = 15
+    near-field interferers, at any density (pi * lambda * rho^2 is unit
+    exponential), and arrays over num_fas x trained ports, one more of
+    them with explicit pilots.
     Arithmetic only: it builds nothing of the size it estimates.
     """
     trials = min(plan.chunk_size, plan.num_trials)
@@ -120,7 +129,7 @@ def chunk_bytes(plan, cfg):
         + per_port * cfg.num_fas * trained
         + _BYTES_PER_TRIAL
     )
-    return int(trials * per_trial)
+    return int(_FIXED_BYTES + trials * per_trial)
 
 
 def _chunk_rng(seed, stream_key, chunk_index):
@@ -128,7 +137,7 @@ def _chunk_rng(seed, stream_key, chunk_index):
     ss = np.random.SeedSequence(
         entropy=int(seed), spawn_key=tuple(stream_key) + (int(chunk_index),)
     )
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _lmmse_coefficient(err, amp):
@@ -137,18 +146,18 @@ def _lmmse_coefficient(err, amp):
     return (1.0 - err) / amp
 
 
-def _port_estimates(rng, m, mean_gain, spread):
+def _port_estimates(rng, m, mean_scale, noise_scale):
     """Real and imaginary parts, shape (2, n, m, j), of the trained-port
-    estimates of ``m`` antennas: ``mean_gain`` (n, j) times the
-    antenna's first-port channel plus independent complex Gaussian
-    noise of variance ``spread`` (broadcast to (n, m, j)), drawn as one
-    block of unit complex normals, the channel first, then one per port.
+    estimates of ``m`` antennas, in single precision: ``mean_scale``
+    (n, j) times the antenna's first-port normal plus ``noise_scale``
+    (broadcast to (n, m, j)) times one normal per port, both unit real
+    normals drawn as one block each, the channels first.
     """
-    n, j = mean_gain.shape
-    draws = rng.normal(0.0, math.sqrt(0.5), (2, n, m, j + 1))
-    est = draws[..., 1:]
-    est *= np.sqrt(spread)
-    est += mean_gain[:, None, :] * draws[..., :1]
+    n, j = mean_scale.shape
+    first = rng.standard_normal((2, n, m, 1), dtype=np.float32)
+    est = rng.standard_normal((2, n, m, j), dtype=np.float32)
+    est *= noise_scale
+    est += mean_scale[:, None, :] * first
     return est
 
 
@@ -168,7 +177,7 @@ def _sample_field(rng, n, cfg, net):
     total = int(counts.sum())
     trial_idx = np.repeat(np.arange(n), counts)
     # the per-point arrays dominate the run time; single precision is
-    # plenty for fade sums that are only read back through bincount
+    # plenty for the gains that only weight the fades' sums
     sq = np.repeat((rho**2).astype(np.float32), counts)
     span = np.repeat((radius**2 - rho**2).astype(np.float32), counts)
     span *= rng.random(total, dtype=np.float32)
@@ -188,11 +197,16 @@ def _sample_field(rng, n, cfg, net):
     far_scale = far_var / far_mean
     far_shared = rng.gamma(far_shape, far_scale)
 
+    # one buffer for every call's fades, in double as bincount reads its
+    # weights: no allocation and no cast copy per call
+    fades = np.empty(total)
+
     def faded_sums():
-        fades = rng.standard_exponential(total, dtype=np.float32)
-        fades *= path_gain
-        sums = np.bincount(trial_idx, weights=fades, minlength=n)
-        sums += far_shared
+        rng.standard_exponential(out=fades)
+        np.multiply(fades, path_gain, out=fades)
+        # a sum, not +=: bincount counts in integers when no trial of
+        # the chunk has a near-field point
+        sums = np.bincount(trial_idx, weights=fades, minlength=n) + far_shared
         sums += rng.gamma(far_shape, far_scale)
         return sums
 
@@ -230,7 +244,13 @@ def _estimate_powers(rng, r_ports, err, faded_sums, cfg, net, budget, plan):
         # orthogonal split: the estimate and the error are uncorrelated
         spread = (gain * (gain * (1.0 - mu**2) + err))[:, None, :]
 
-    est = _port_estimates(rng, m, gain * mu, spread)
+    # a real part carries half of each variance; single precision is
+    # plenty for estimates that selection only compares
+    spread *= 0.5
+    noise_scale = np.sqrt(spread, out=spread).astype(np.float32)
+    mean_scale = (math.sqrt(0.5) * mu * gain).astype(np.float32)
+    del spread, gain
+    est = _port_estimates(rng, m, mean_scale, noise_scale)
     est *= est
     return est[0] + est[1]
 
@@ -239,27 +259,28 @@ def _count_outages(est_power, r_ports, err, faded_sums, net, target):
     """Outage count: each antenna keeps its strongest of ``est_power``
     (n, m, j), and every candidate misses over fresh ``faded_sums()``."""
     n, m, j = est_power.shape
-    a = net.path_loss_exponent
-    win = np.argmax(est_power, axis=2)  # (n, m); ties take the lowest port
-
-    def at_winner(arr):
-        full = np.broadcast_to(arr, (n, m, j))
-        return np.take_along_axis(full, win[..., None], axis=2)[..., 0]
-
-    power_win = at_winner(est_power)
-    r_win = at_winner(r_ports[:, None, :])
-    err_win = at_winner(err[:, None, :])
-
     # stage-2 candidates see freshly drawn interferer fades over the
-    # shared positions (uncorrelated branches)
+    # shared positions (uncorrelated branches); drawn before selection,
+    # so the sums' temporaries never meet the winners' arrays
     data_inter = np.empty((n, m))
     for k in range(m):
         data_inter[:, k] = faded_sums()
 
-    sinr = power_win / (
-        r_win**a
-        * (data_inter + err_win / r_win**a + 1.0 / net.transmit_snr)
-    )
+    # ties take the lowest port; flat indices of each antenna's winner
+    # into the powers and into the trials' (n, j) distances and errors
+    win = np.argmax(est_power.reshape(n * m, j), axis=1)
+    in_trial = np.repeat(np.arange(0, n * j, j), m) + win
+    win += np.arange(0, n * m * j, j)
+    power_win = est_power.take(win).astype(np.float64).reshape(n, m)
+    del win
+    r_win = r_ports.take(in_trial).reshape(n, m)
+    err_win = err.take(in_trial).reshape(n, m)
+
+    # SINR: the power over r^a (I + 1/SNR) plus the error variance
+    data_inter += 1.0 / net.transmit_snr
+    data_inter *= r_win**net.path_loss_exponent
+    data_inter += err_win
+    sinr = power_win / data_inter
     return int((sinr.max(axis=1) < target.threshold).sum())
 
 

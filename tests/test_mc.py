@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,13 +50,18 @@ class TestTrialPlan:
 
 class TestChunkBytes:
     def test_counts_trials_of_one_chunk_only(self, desk_cfg):
-        one_chunk = chunk_bytes(TrialPlan(num_trials=256, chunk_size=2048),
-                                desk_cfg)
-        assert one_chunk == chunk_bytes(
-            TrialPlan(num_trials=10**9, chunk_size=256), desk_cfg)
-        assert chunk_bytes(
-            TrialPlan(num_trials=10**9, chunk_size=512), desk_cfg
-        ) == 2 * one_chunk
+        def size(num_trials, chunk_size):
+            return chunk_bytes(TrialPlan(num_trials=num_trials,
+                                         chunk_size=chunk_size), desk_cfg)
+
+        one_chunk = size(256, 2048)
+        assert one_chunk == size(10**9, 256)
+        # affine in the chunk's trials: a fixed share plus one per trial
+        per_trial = size(10**9, 512) - one_chunk
+        assert per_trial > 0
+        assert size(10**9, 768) - size(10**9, 512) == per_trial
+        fixed = one_chunk - per_trial
+        assert 0 < fixed < one_chunk
 
     def test_grows_with_antennas_times_trained_ports(self):
         plan = TrialPlan(num_trials=1000, chunk_size=1000)
@@ -78,6 +84,8 @@ class TestChunkBytes:
         (2, 5, 1, 512),
         (4, 15, 1, 2048),
         (4, 30, 0, 256),
+        (2, 5, 1, 8192),
+        (1, 30, 0, 64),
     ])
     def test_bounds_the_traced_peak_of_a_chunk(
         self, stock_net, num_fas, ports, skipped, trials, faithful
@@ -210,6 +218,81 @@ class TestEstimateOutage:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert 0.0 <= p <= 1.0
+
+
+# =====================================================================
+# port selection and the SINR count
+# =====================================================================
+
+
+class TestCountOutages:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_a_loop_over_trials_and_antennas(self, dtype):
+        # powers on a coarse grid tie exactly, and tied ports differ in
+        # distance and error, so the tie rule moves the count
+        rng = np.random.default_rng(8)
+        n, m, j = 400, 3, 5
+        powers = (rng.integers(1, 5, (n, m, j)) / 4.0).astype(dtype)
+        r_ports = rng.uniform(20.0, 80.0, (n, j))
+        err = rng.uniform(0.0, 0.5, (n, j))
+        net = NetworkConfig()
+        a = net.path_loss_exponent
+
+        def best_sinr(pick):
+            out = np.empty(n)
+            for t in range(n):
+                candidates = []
+                for k in range(m):
+                    q = pick(powers[t, k])
+                    candidates.append(float(powers[t, k, q]) / (
+                        r_ports[t, q]**a / net.transmit_snr + err[t, q]))
+                out[t] = max(candidates)
+            return out
+
+        lowest = best_sinr(lambda row: next(
+            q for q in range(j) if row[q] == row.max()))
+        highest = best_sinr(lambda row: max(
+            q for q in range(j) if row[q] == row.max()))
+        # a threshold midway between two best SINRs, clear of rounding
+        levels = np.unique(lowest)
+        threshold = 0.5 * (levels[n // 4] + levels[n // 4 + 1])
+        expected = int((lowest < threshold).sum())
+        assert expected != int((highest < threshold).sum())
+
+        count = fluidcell.mc._count_outages(
+            powers, r_ports, err, lambda: np.zeros(n), net,
+            SimpleNamespace(threshold=threshold),
+        )
+        assert count == expected
+
+
+class _EmptyNearField:
+    """A Generator whose Poisson draws, the near-field counts, are 0."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def poisson(self, lam):
+        return np.zeros(np.shape(lam), dtype=np.int64)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestEmptyNearField:
+    @pytest.mark.parametrize("faithful", [False, True])
+    def test_a_chunk_without_near_field_points_counts(
+        self, desk_cfg, stock_net, desk_budget, faithful
+    ):
+        # one trial in sixteen has no point within NEAR_FIELD_RATIO
+        # serving distances, so a one-trial chunk often has none at all
+        plan = TrialPlan(num_trials=4, faithful_pilots=faithful)
+        count = fluidcell.mc._simulate_chunk(
+            _EmptyNearField(np.random.default_rng(2)), plan.num_trials,
+            desk_cfg, stock_net, desk_budget,
+            sinr_threshold(1.0, desk_budget), plan,
+        )
+        assert 0 <= count <= plan.num_trials
 
 
 # =====================================================================
