@@ -12,7 +12,9 @@ engine raised is written as ``error`` and the process exits nonzero
 after finishing the remaining grid points. A grid value outside its
 parameter's domain (say a nonpositive density) is a config error
 instead: exit code 2 before any point runs, as is a grid of more than
-1000 values or a sweep whose Monte Carlo chunks or analytic outage
+1000 values, a ``--config`` that cannot be read as UTF-8 text, an
+``--out`` that cannot be opened for writing (an existing one is left
+as it was), or a sweep whose Monte Carlo chunks or analytic outage
 arrays, over the grid points run at once, would need more than a fixed
 memory budget. For ``target-variance`` sweeps the analytic column
 carries the minimum skip count that meets the target error variance at
@@ -277,19 +279,23 @@ def _build_run_config(values):
 def load_config(path):
     """Read a flat key=value config; missing keys take stock defaults."""
     values = dict(_DEFAULTS)
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
-            key, text = (part.strip() for part in line.split("=", 1))
-            if key not in _DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(key, text)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(
+                f"{path}:{lineno}: expected key=value, got {line!r}"
+            )
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in _DEFAULTS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _parse_value(key, text)
     return _build_run_config(values)
 
 
@@ -487,6 +493,22 @@ def run_sweep(spec, base, mode="both"):
     return rows, failures
 
 
+def _check_writable(path):
+    """Raise :class:`ConfigError` unless ``path`` ('-' for stdout) can
+    be opened for writing. An existing file keeps its bytes, and a file
+    the check had to create is removed again."""
+    if path == "-":
+        return
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def write_rows(rows, path):
     """Write sweep rows as CSV to ``path`` ('-' for stdout)."""
     with (nullcontext(sys.stdout) if path == "-"
@@ -588,6 +610,7 @@ def main(argv=None):
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         _worker_count()  # a bad FLUIDCELL_WORKERS fails before any point
+        _check_writable(args.out)  # as does an --out that cannot be written
 
         engines = None
         if args.engines:

@@ -76,7 +76,6 @@ class InterferenceModel:
     scale: float
     mean: float
     variance: float
-    exclusion_radius: float
 
 
 def sample_serving_distance(rng, bs_density, size=None):
@@ -159,5 +158,4 @@ def gamma_interference_model(exclusion_radius, net):
         scale=scale,
         mean=mean,
         variance=variance,
-        exclusion_radius=exclusion_radius,
     )

@@ -92,7 +92,6 @@ class FrameBudget:
     data_uses: int               # uses left for payload
     switching_uses: float        # uses lost to port motion during training
     pilot_length: float          # uses per trained port per antenna
-    trained_count: int           # trained ports per antenna
 
 
 def port_displacement(i, cfg):
@@ -205,5 +204,4 @@ def build_frame_budget(cfg, params, coherence_bandwidth, coherence_time,
         data_uses=int(data),
         switching_uses=float(switching),
         pilot_length=float(pilot),
-        trained_count=int(count),
     )

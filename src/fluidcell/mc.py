@@ -53,7 +53,7 @@ from .field import (
 )
 from .geometry import (
     link_distance,
-    port_displacement,
+    link_distances,
     trained_port_count,
     trained_port_indices,
 )
@@ -166,10 +166,9 @@ def _sample_field(rng, n, cfg, net):
     field's ``faded_sums()``: one interference sum per trial per call."""
     lam = net.bs_density
     a = net.path_loss_exponent
-    d = np.array([port_displacement(p, cfg) for p in trained_port_indices(cfg)])
 
     rho = sample_serving_distance(rng, lam, size=n)
-    r_ports = np.sqrt(rho[:, None] ** 2 + d[None, :] ** 2)  # (n, j)
+    r_ports = link_distances(trained_port_indices(cfg), rho, cfg)  # (n, j)
 
     # interferer positions, shared by every port and candidate in a trial
     radius = NEAR_FIELD_RATIO * rho

@@ -199,67 +199,60 @@ def _gamma_quantile(shape, scale, v):
     return scale * x
 
 
-def _averaged_over_interference(outage_at, model, keys, spec):
-    """E[outage(gamma)] under each row's Gamma surrogate, as one batch.
+def _averaged_over_interference(conditional, rhos, model, spec):
+    """E[outage(rho, gamma)] under each row's Gamma surrogate, as one batch.
 
     Integrating in probability space through the quantile map handles
     the near-degenerate shapes (essentially all mass at zero, a
     vanishing far tail) that defeat a direct gamma-space quadrature.
-    ``model`` holds one surrogate per row, as arrays. Rows with equal
-    ``keys`` share one conditional outage, so each round calls
-    ``outage_at(rows, gammas)`` on its distinct (key, gamma) pairs
+    Row k sits at serving distance ``rhos[k]``; ``model`` holds one
+    surrogate per row, as arrays. Each round calls
+    ``conditional(rhos, gammas)`` on its distinct (rho, gamma) pairs
     only, once per ``_PAIRS_PER_CALL`` of them.
     """
 
     def integrand(v, rows):
         gammas = _gamma_quantile(model.shape[rows], model.scale[rows], v)
+        round_rhos = rhos[rows]
         # one complex number per pair: a 1-D dedupe, exact on both parts
         _, first, inverse = np.unique(
-            gammas + 1j * keys[rows], return_index=True, return_inverse=True
+            gammas + 1j * round_rhos, return_index=True, return_inverse=True
         )
         parts = np.split(
             first, range(_PAIRS_PER_CALL, len(first), _PAIRS_PER_CALL)
         )
         values = np.concatenate([
-            outage_at(rows[part], gammas[part]) for part in parts
+            conditional(round_rhos[part], gammas[part]) for part in parts
         ])
         return values[inverse.reshape(-1)]
 
-    count = len(keys)
+    count = len(rhos)
     return integrate_finite(integrand, np.zeros(count), np.ones(count), spec)
 
 
-def _distance_averaged(conditional, tags, anchor, net, spec):
+def _distance_averaged(conditional, offsets, net, spec):
     """Conditional outage averaged over interference and serving distance.
 
-    One integral per entry of ``tags``, all run as one batch. Row k
+    One integral per entry of ``offsets``, all run as one batch. Row k
     weighs, at each serving distance rho, the conditional outage
-    averaged over the Gamma surrogate anchored at radius anchor(k, rho),
-    by the nearest-transmitter density of rho; ``anchor(rows, rhos)``
-    gives those radii elementwise over a round's nodes.
-    ``conditional(tags, rhos, gammas)`` gives the conditional outage
-    elementwise; each round passes it every distinct (tag, rho, gamma)
-    once.
+    averaged over the Gamma surrogate anchored at radius
+    hypot(rho, offsets[k]), by the nearest-transmitter density of rho.
+    ``conditional(rhos, gammas)`` gives the conditional outage
+    elementwise; each round passes it every distinct (rho, gamma) once.
     """
     lam = net.bs_density
     rho_cut = math.sqrt(math.log(1.0 / DISTANCE_TAIL) / (math.pi * lam))
-    tags = np.asarray(tags)
+    offsets = np.asarray(offsets, dtype=float)
 
     def integrand(rhos, rows):
-        model = gamma_interference_model(anchor(rows, rhos), net)
-        round_tags = tags[rows]
-        _, keys = np.unique(rhos + 1j * round_tags, return_inverse=True)
-
-        def outage_at(index, gammas):
-            return conditional(round_tags[index], rhos[index], gammas)
-
-        averaged = _averaged_over_interference(
-            outage_at, model, keys.reshape(-1), spec
-        )
+        # hypot(rho, 0) is rho exactly, and a port's offset gives its
+        # link distance as geometry.link_distances does, bit for bit
+        model = gamma_interference_model(np.hypot(rhos, offsets[rows]), net)
+        averaged = _averaged_over_interference(conditional, rhos, model, spec)
         density = 2.0 * math.pi * lam * rhos * np.exp(-math.pi * lam * rhos**2)
         return averaged * density
 
-    count = len(tags)
+    count = len(offsets)
     return integrate_finite(
         integrand, np.zeros(count), np.full(count, rho_cut), spec
     )
@@ -281,26 +274,14 @@ def outage_probability(cfg, net, budget, target, spec=QuadratureSpec(),
     if mode not in ("common-gamma", "per-port-gamma"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    def conditional(_, rhos, gammas):
+    def conditional(rhos, gammas):
         return conditional_outage(rhos, gammas, cfg, net, budget, target, spec)
 
-    if mode == "common-gamma":
-        single = _distance_averaged(
-            conditional, [0], lambda rows, rhos: rhos, net, spec
-        )
-        return min(1.0, float(single[0])) ** cfg.num_fas
-
-    ports = trained_port_indices(cfg)
-    # each node's own port only, not the node x port table (quadratic in
-    # the trained ports); the np.hypot of link_distances, bit for bit
-    shifts = np.array([port_displacement(p, cfg) for p in ports])
-    per_port = _distance_averaged(
-        conditional, [0] * len(ports),
-        lambda rows, rhos: np.hypot(rhos, shifts[rows]),
-        net, spec,
-    )
+    offsets = [0.0]  # common-gamma: one integral, anchored at rho itself
+    if mode == "per-port-gamma":
+        offsets = [port_displacement(p, cfg) for p in trained_port_indices(cfg)]
     product = 1.0
-    for value in per_port.tolist():
+    for value in _distance_averaged(conditional, offsets, net, spec).tolist():
         product *= min(1.0, value)
     return product ** cfg.num_fas
 
@@ -313,21 +294,19 @@ def averaged_outage_bounds(mu_common, cfg, net, budget, target,
     and the serving distance keeps the ordering, and raising to the
     antenna count keeps it again, so the pair brackets the common-gamma
     network outage in the interference-limited regime (up to the
-    product-to-sum step the conditional bracket itself rests on). The
-    two sides run as one batch.
+    product-to-sum step the conditional bracket itself rests on).
     """
 
-    def conditional(sides, rhos, gammas):
-        return np.array([
-            conditional_outage_bounds(
-                rho, gamma, mu_common, cfg, net, budget, target
-            )[side]
-            for side, rho, gamma in zip(
-                sides.tolist(), rhos.tolist(), gammas.tolist()
-            )
-        ])
+    def averaged(side):
+        def conditional(rhos, gammas):
+            return np.array([
+                conditional_outage_bounds(
+                    rho, gamma, mu_common, cfg, net, budget, target
+                )[side]
+                for rho, gamma in zip(rhos.tolist(), gammas.tolist())
+            ])
 
-    lower, upper = _distance_averaged(
-        conditional, [0, 1], lambda rows, rhos: rhos, net, spec
-    ).tolist()
-    return min(1.0, lower) ** cfg.num_fas, min(1.0, upper) ** cfg.num_fas
+        value = float(_distance_averaged(conditional, [0.0], net, spec)[0])
+        return min(1.0, value) ** cfg.num_fas
+
+    return averaged(0), averaged(1)

@@ -604,6 +604,66 @@ class TestMain:
         assert not out.exists()
         assert f"{WORKERS_ENV} must be an integer, got 'abc'" in caplog.text
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+    def test_unreadable_config_exits_2_before_any_point(
+        self, tmp_path, caplog, capsys, monkeypatch, kind
+    ):
+        # once a traceback and exit 1
+        points = _skip_points(monkeypatch)
+        config = tmp_path / "run.cfg"
+        if kind == "directory":
+            config.mkdir()
+        elif kind == "not-utf-8":
+            config.write_bytes(b"num_fas = 2 # \xff\n")
+        out = tmp_path / "rows.csv"
+        out.write_bytes(b"earlier rows\n")
+        code = main([
+            "--config", str(config), "--preset", "fig7", "--out", str(out),
+        ])
+        assert code == 2
+        assert not points
+        assert out.read_bytes() == b"earlier rows\n"
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{config}: cannot read the config")
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2_before_any_point(
+        self, tmp_path, caplog, capsys, monkeypatch, where
+    ):
+        # once found only after the whole sweep, with a traceback
+        points = _skip_points(monkeypatch)
+        out = (tmp_path / "missing" / "rows.csv"
+               if where == "missing-directory" else tmp_path)
+        code = main(["--preset", "fig7", "--out", str(out)])
+        assert code == 2
+        assert not points
+        assert not (tmp_path / "missing").exists()
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"--out {out}: ")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_existing_out_keeps_its_bytes_on_a_config_error(
+        self, tmp_path, monkeypatch
+    ):
+        # the writability check opens it before the memory guard refuses
+        points = _skip_points(monkeypatch)
+        out = tmp_path / "rows.csv"
+        out.write_bytes(b"earlier rows\n")
+        code = main([
+            "--config", write_config(tmp_path, "chunk_size = 1000000000\n"),
+            "--trials", "1000000000",
+            "--sweep", "tx-power=1.0:2.0:2", "--engines", "monte-carlo",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert not points
+        assert out.read_bytes() == b"earlier rows\n"
+
 
 class TestWorkerCount:
     def test_environment_then_core_count(self, monkeypatch):

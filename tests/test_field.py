@@ -248,7 +248,6 @@ class TestGammaModel:
             model.shape * model.scale**2, 2.0, rtol=1e-12
         )
         assert model.variance == 2.0
-        assert model.exclusion_radius == 90.0
         assert model == gamma_interference_model(90.0, NetworkConfig())
 
     @pytest.mark.parametrize("exponent", [4.0, 3.5, 2.7])
@@ -260,7 +259,7 @@ class TestGammaModel:
         radii = np.random.default_rng(4).uniform(1.0, 400.0, 500)
         batch = gamma_interference_model(radii, net)
         singles = [gamma_interference_model(r, net) for r in radii.tolist()]
-        for field in ("shape", "scale", "mean", "exclusion_radius"):
+        for field in ("shape", "scale", "mean"):
             assert getattr(batch, field).tolist() == [
                 getattr(m, field) for m in singles
             ]

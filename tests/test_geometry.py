@@ -161,7 +161,6 @@ class TestFrameBudget:
         assert stock_budget.total_uses == 5_000_000
         assert stock_budget.estimation_uses == 800_000
         assert stock_budget.data_uses == 4_200_000
-        assert stock_budget.trained_count == 8
 
     def test_stock_switching_and_pilot(self, stock_budget, stock_cfg,
                                         stock_fluid):

@@ -15,6 +15,7 @@ from fluidcell.geometry import (
     FluidParams,
     build_frame_budget,
     link_distance,
+    link_distances,
     trained_port_indices,
 )
 from fluidcell.mc import (
@@ -296,6 +297,43 @@ class TestEmptyNearField:
 
 
 # =====================================================================
+# link distances
+# =====================================================================
+
+
+def _record_serving_distances(monkeypatch):
+    """List of the serving-distance arrays ``mc`` draws from now on."""
+    distances = []
+    sample = fluidcell.mc.sample_serving_distance
+
+    def serving_distance(*args, **kwargs):
+        distances.append(sample(*args, **kwargs))
+        return distances[-1]
+
+    monkeypatch.setattr(fluidcell.mc, "sample_serving_distance",
+                        serving_distance)
+    return distances
+
+
+class TestSampleField:
+    def test_link_distances_are_the_geometry_ones(
+        self, stock_cfg, stock_net, monkeypatch
+    ):
+        # the analytic engine anchors its ports at these distances; an
+        # own sqrt(rho^2 + d^2) differs from hypot in the last bit on
+        # about one entry in seven at the stock array
+        distances = _record_serving_distances(monkeypatch)
+        r_ports, _ = fluidcell.mc._sample_field(
+            np.random.default_rng(5), 2048, stock_cfg, stock_net
+        )
+        (rho,) = distances
+        expected = link_distances(trained_port_indices(stock_cfg), rho,
+                                  stock_cfg)
+        assert r_ports.shape == (2048, 8)
+        assert np.array_equal(r_ports, expected)
+
+
+# =====================================================================
 # far-field law
 # =====================================================================
 
@@ -326,15 +364,7 @@ class TestFarFieldLaw:
         # half the Campbell mean and variance of that annulus
         net = NetworkConfig(path_loss_exponent=exponent)
         plan = TrialPlan(num_trials=64, faithful_pilots=faithful)
-        distances = []
-        sample = fluidcell.mc.sample_serving_distance
-
-        def serving_distance(*args, **kwargs):
-            distances.append(sample(*args, **kwargs))
-            return distances[-1]
-
-        monkeypatch.setattr(fluidcell.mc, "sample_serving_distance",
-                            serving_distance)
+        distances = _record_serving_distances(monkeypatch)
         rng = _GammaRecorder(np.random.default_rng(3))
         fluidcell.mc._simulate_chunk(
             rng, plan.num_trials, desk_cfg, net, desk_budget,
