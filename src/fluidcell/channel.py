@@ -20,7 +20,6 @@ from .field import campbell_mean
 from .geometry import (
     InfeasibleFrameError,
     fluid_velocity,
-    link_distance,
     link_distances,
     trained_port_indices,
 )
@@ -52,21 +51,19 @@ class CorrelationProfile:
     ``mu`` holds the correlation of each trained port with the first
     one (signed; the first entry is zero by convention) and
     ``spread_variance`` the per-port variance of the estimate around
-    that common component, both aligned with ``ports``. A batch of
+    that common component, one entry per trained port. A batch of
     serving distances carries one row of spread variances per distance,
-    shape (B, len(ports)); ``mu`` does not depend on distance.
+    shape (B, J); ``mu`` does not depend on distance.
     """
 
-    ports: tuple
     mu: np.ndarray
     spread_variance: np.ndarray
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
         spread = np.asarray(self.spread_variance, dtype=float)
-        if (len(self.ports) != mu.shape[0] or mu.ndim != 1
-                or spread.ndim > 2 or spread.shape[-1:] != mu.shape):
-            raise ValueError("profile arrays must align with the port tuple")
+        if mu.ndim != 1 or spread.ndim > 2 or spread.shape[-1:] != mu.shape:
+            raise ValueError("profile arrays must align with one another")
         if mu.shape[0] < 1:
             raise ValueError("profile needs at least one port")
         if mu[0] != 0.0:
@@ -115,14 +112,15 @@ def error_variance_at(r, pilot_length, net):
     return bracket / (bracket + pilot_length)
 
 
-def min_skipped_ports(target_variance, rho, i, cfg, params, net,
+def min_skipped_ports(target_variance, rho, cfg, params, net,
                       coherence_bandwidth, coherence_time,
                       estimation_fraction):
     """Fewest skipped ports keeping the estimate error at the target.
 
     Closed-form design rule from the continuous relaxation of the frame
-    budget: strictly decreasing and convex in ``target_variance``, a
-    share of the channel variance.
+    budget, evaluated at the first port, whose link distance is the
+    serving distance ``rho``: strictly decreasing and convex in
+    ``target_variance``, a share of the channel variance.
     Raises :class:`InfeasibleFrameError` when the frame cannot support
     even one pilot per port, i.e. the rule's denominator is nonpositive.
     """
@@ -147,7 +145,7 @@ def min_skipped_ports(target_variance, rho, i, cfg, params, net,
             "switching alone exceeds the per-port training share: "
             f"{hop_uses:.3e} uses per hop, {per_port:.3e} available"
         )
-    bracket = float(pilot_noise_ratio(link_distance(i, rho, cfg), net))
+    bracket = float(pilot_noise_ratio(rho, net))
     return bracket / denominator * (1.0 / target_variance - 1.0)
 
 
@@ -163,9 +161,7 @@ def correlation_profile(cfg, net, budget, rho):
     mu = np.array([autocorrelation(p, cfg) for p in ports])
     r = link_distances(ports, rho, cfg)
     err = error_variance_at(r, budget.pilot_length, net)
-    return CorrelationProfile(
-        ports=ports, mu=mu, spread_variance=(1.0 - mu**2) + err
-    )
+    return CorrelationProfile(mu=mu, spread_variance=(1.0 - mu**2) + err)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +230,7 @@ def joint_magnitude_cdf(taus, profile, spec=QuadratureSpec()):
         raise ValueError("one threshold per trained port is required")
     if np.any(taus < 0.0):
         raise ValueError("thresholds must be nonnegative")
-    rows_tau = taus.reshape(-1, mu.shape[0])
+    rows_tau = taus.reshape(-1, len(mu))
     rows_spread = spread.reshape(rows_tau.shape)
     zero = np.any(rows_tau == 0.0, axis=1).tolist()
     # scalar arithmetic per row, as a lone threshold vector gets it:
@@ -244,10 +240,10 @@ def joint_magnitude_cdf(taus, profile, spec=QuadratureSpec()):
         for z, t, s in zip(zero, rows_tau[:, 0].tolist(),
                            rows_spread[:, 0].tolist())
     ]
-    if len(profile.ports) == 1:
+    if len(mu) == 1:
         values = np.array([-math.expm1(-x) for x in limits])
     else:
-        size = max(1, _GROUP_PAIRS // (len(profile.ports) - 1))
+        size = max(1, _GROUP_PAIRS // (len(mu) - 1))
         values = np.concatenate([
             _conditional_rician_integrals(
                 mu, rows_tau[k:k + size], rows_spread[k:k + size],
@@ -277,7 +273,7 @@ def joint_magnitude_pdf(taus, profile):
 
     t1 = taus[0]
     density = 2.0 * t1 / spread[0] * math.exp(-t1**2 / spread[0])
-    if len(profile.ports) == 1:
+    if len(mu) == 1:
         return density
 
     offset = np.abs(mu[1:]) * t1

@@ -261,6 +261,9 @@ def _parse_value(key, text):
 
 
 def _build_run_config(values):
+    if values["faithful_pilots"] not in (0, 1):
+        raise ConfigError("faithful_pilots must be 0 or 1, got "
+                          f"{values['faithful_pilots']}")
     values = dict(values, num_trials=values["trials"],
                   faithful_pilots=bool(values["faithful_pilots"]))
 
@@ -374,7 +377,6 @@ def _run_engines(run, index, spec, cfg, budget, target, mode):
             min_skipped_ports(
                 cfg.target_variance,
                 1.0 / math.sqrt(math.pi * cfg.network.bs_density),
-                1,
                 cfg.array,
                 cfg.fluid,
                 cfg.network,
@@ -458,8 +460,9 @@ def run_sweep(spec, base, mode="both"):
     Raises :class:`ConfigError` before any point runs when a grid value
     lies outside its parameter's domain, or when the estimated memory of
     a requested engine (one Monte Carlo chunk, or the analytic outage's
-    arrays) at the base config or at any grid value, times the number
-    of points run at once, would pass the memory budget. A frame that
+    arrays) at any grid value, times the number of points run at once,
+    would pass the memory budget; ``base`` itself runs at no point, so a
+    value the grid replaces is not checked. A frame that
     cannot fit at a valid value is a failure of that point only.
 
     Grid points run on a worker pool but rows come back in grid order,
@@ -475,7 +478,7 @@ def run_sweep(spec, base, mode="both"):
         except ValueError as exc:
             raise ConfigError(f"{spec.parameter}={value:g}: {exc}") from exc
     workers = _worker_count()
-    _check_memory([base, *configs], spec.engines,
+    _check_memory(configs, spec.engines,
                   min(workers, len(spec.grid)))
 
     def point(args):

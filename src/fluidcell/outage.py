@@ -62,21 +62,13 @@ def outage_bytes(cfg):
 
 @dataclass(frozen=True)
 class RateTarget:
-    """Rate requirement and the SINR threshold it implies."""
+    """The SINR threshold a rate requirement implies."""
 
-    rate: float           # data bits per channel use
-    threshold: float      # SINR level below which the rate is missed
-    data_fraction: float  # share of the frame carrying payload
+    threshold: float  # SINR level below which the rate is missed
 
     def __post_init__(self):
-        if self.rate < 0.0:
-            raise ValueError("rate must be nonnegative")
-        if not 0.0 < self.data_fraction < 1.0:
-            raise ValueError("data_fraction must lie strictly in (0, 1)")
         if self.threshold < 0.0:
             raise ValueError("threshold must be nonnegative")
-        if (self.threshold == 0.0) != (self.rate == 0.0):
-            raise ValueError("threshold vanishes exactly at zero rate")
 
 
 def sinr_threshold(rate, budget):
@@ -94,11 +86,7 @@ def sinr_threshold(rate, budget):
             f"rate {rate:g} over the data share {data_fraction:.4g} needs "
             "an SINR threshold beyond floating-point range"
         ) from None
-    return RateTarget(
-        rate=float(rate),
-        threshold=float(threshold),
-        data_fraction=float(data_fraction),
-    )
+    return RateTarget(threshold=float(threshold))
 
 
 def outage_thresholds(rho, interference, cfg, net, budget, target):

@@ -3,7 +3,8 @@
 Each oracle evaluates a different representation than the production
 code (power series, direct quadrature, the exact interferer field, a
 heap per row for the lockstep quadrature's bookkeeping, true channels
-drawn before their estimates), so agreement is meaningful.
+drawn before their estimates, the Poisson field's generating functional
+in closed form), so agreement is meaningful.
 """
 
 import heapq
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 from scipy import integrate
+from scipy.special import hyp2f1
 
 from fluidcell import ConvergenceError, QuadratureSpec, bessel_i0e
 from fluidcell.channel import error_variance_at, sample_correlated_channels
@@ -288,3 +290,42 @@ def simulate_chunk_from_channels(rng, n, cfg, net, budget, target, plan):
 
     return _count_outages(np.abs(g_hat) ** 2, r_ports, err, faded_sums,
                           net, target)
+
+
+def single_port_outage(cfg, net, budget, target, nodes):
+    """Exact network outage with one trained port per antenna.
+
+    The estimate power is Exp(1 - err) with err the LMMSE error variance
+    at the serving distance rho, so antenna k misses the threshold T
+    when that power falls below s (I_k + c), with s = T rho^a / (1 - err)
+    and c = err / rho^a + 1/SNR. The antennas share the interferer
+    positions beyond rho and draw their own Rayleigh fades, as
+    ``mc`` does. The binomial expansion of (1 - e^(-s(I + c)))^M and the
+    Poisson field's generating functional give, with delta = 2/a,
+
+        P(rho) = sum_n C(M, n) (-1)^n e^(-n s c)
+                 exp(-pi lambda rho^2 [2F1(n, -delta; 1 - delta;
+                                            -s rho^(-a)) - 1]),
+
+    averaged over rho through u = exp(-pi lambda rho^2), uniform on
+    (0, 1), on ``nodes`` Gauss-Legendre nodes. The rule is the only
+    approximation.
+    """
+    if len(trained_port_indices(cfg)) != 1:
+        raise ValueError("the exact outage needs one trained port per antenna")
+    a = net.path_loss_exponent
+    delta = 2.0 / a
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    u = 0.5 * (x + 1.0)
+    area = -np.log(u)  # pi lambda rho^2
+    rho = np.sqrt(area / (math.pi * net.bs_density))
+    err = error_variance_at(rho, budget.pilot_length, net)
+    # s rho^(-a) and s c, written so that neither divides by rho^a
+    s_ratio = target.threshold / (1.0 - err)
+    s_c = s_ratio * (err + rho**a / net.transmit_snr)
+    m = cfg.num_fas
+    total = np.zeros(nodes)
+    for n in range(m + 1):
+        field = hyp2f1(n, -delta, 1.0 - delta, -s_ratio) - 1.0
+        total += math.comb(m, n) * (-1) ** n * np.exp(-n * s_c - area * field)
+    return float(0.5 * np.dot(w, total))

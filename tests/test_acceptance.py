@@ -170,7 +170,7 @@ def test_criterion_03_skip_rule_round_trip():
         try:
             nus = [
                 min_skipped_ports(
-                    float(t), rho, 1, cfg, FLUID, net,
+                    float(t), rho, cfg, FLUID, net,
                     COHERENCE_BANDWIDTH, COHERENCE_TIME, fraction,
                 )
                 for t in targets
@@ -210,11 +210,7 @@ def test_criterion_04_joint_magnitude_law():
         cfg = FaArrayConfig(num_fas=1, ports_per_fa=n_ports, skipped_ports=0)
         ports = trained_port_indices(cfg)
         mu = np.array([autocorrelation(p, cfg) for p in ports])
-        profile = CorrelationProfile(
-            ports=ports,
-            mu=mu,
-            spread_variance=1.0 - mu**2 + err,
-        )
+        profile = CorrelationProfile(mu=mu, spread_variance=1.0 - mu**2 + err)
         rng = np.random.default_rng(seed)
         taus = rng.uniform(0.5, 1.6, size=(20, n_ports))
 
@@ -391,9 +387,7 @@ def test_criterion_08_closed_form_bracket():
                              target.threshold * (rho**a * inter + err))
             mu = np.full(count, mu_common)
             mu[0] = 0.0
-            profile = CorrelationProfile(
-                ports=ports, mu=mu, spread_variance=spread,
-            )
+            profile = CorrelationProfile(mu=mu, spread_variance=spread)
             # the bracket's algebra takes the thresholds as magnitudes
             quad = joint_magnitude_cdf(thetas, profile)
             distance = max(lower - quad, quad - upper, 0.0)
@@ -520,7 +514,7 @@ def test_criterion_09_qualitative_trends():
     # as the target loosens, with convex decay
     targets = np.linspace(0.2, 0.9, 8)
     nus = np.array([
-        min_skipped_ports(float(t), 150.0, 1, FaArrayConfig(), FLUID,
+        min_skipped_ports(float(t), 150.0, FaArrayConfig(), FLUID,
                           NetworkConfig(), COHERENCE_BANDWIDTH,
                           COHERENCE_TIME, 0.16)
         for t in targets

@@ -171,10 +171,9 @@ class TestErrorVariance:
 
 
 class TestMinSkippedPorts:
-    def args(self, cfg, net, rho=70.0, port=1):
+    def args(self, cfg, net, rho=70.0):
         return (
             rho,
-            port,
             cfg,
             FluidParams(),
             net,
@@ -243,9 +242,10 @@ class TestCorrelationProfile:
     ):
         rho = 70.0
         profile = correlation_profile(stock_cfg, stock_net, stock_budget, rho)
-        assert profile.ports == trained_port_indices(stock_cfg)
+        ports = trained_port_indices(stock_cfg)
+        assert profile.mu.shape == profile.spread_variance.shape == (len(ports),)
         assert profile.mu[0] == 0.0
-        for k, p in enumerate(profile.ports):
+        for k, p in enumerate(ports):
             np.testing.assert_allclose(
                 profile.mu[k], autocorrelation(p, stock_cfg), rtol=1e-12
             )
@@ -260,7 +260,6 @@ class TestCorrelationProfile:
 
     def test_validation(self):
         good = dict(
-            ports=(1, 3),
             mu=np.array([0.0, 0.5]),
             spread_variance=np.array([1.1, 0.8]),
         )
@@ -270,7 +269,9 @@ class TestCorrelationProfile:
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             CorrelationProfile(**{**good, "mu": np.array([0.0, 1.2])})
         with pytest.raises(ValueError, match="align"):
-            CorrelationProfile(**{**good, "ports": (1, 3, 5)})
+            CorrelationProfile(
+                **{**good, "spread_variance": np.array([1.1, 0.8, 0.9])}
+            )
         with pytest.raises(ValueError, match="positive"):
             CorrelationProfile(
                 **{**good, "spread_variance": np.array([1.1, 0.0])}
@@ -278,7 +279,6 @@ class TestCorrelationProfile:
 
     def test_spread_rows_of_a_batch(self):
         good = dict(
-            ports=(1, 3),
             mu=np.array([0.0, 0.5]),
             spread_variance=np.array([[1.1, 0.8], [1.2, 0.9]]),
         )
@@ -297,7 +297,7 @@ class TestCorrelationProfile:
     ):
         rhos = np.array([3.0, 70.0, 70.0, 412.5])
         batch = correlation_profile(stock_cfg, stock_net, stock_budget, rhos)
-        assert batch.spread_variance.shape == (4, len(batch.ports))
+        assert batch.spread_variance.shape == (4, len(batch.mu))
         for k, rho in enumerate(rhos):
             single = correlation_profile(
                 stock_cfg, stock_net, stock_budget, float(rho)
@@ -316,7 +316,6 @@ class TestCorrelationProfile:
 def narrow_profile():
     # two trained ports with visible correlation and unequal spreads
     return CorrelationProfile(
-        ports=(1, 3),
         mu=np.array([0.0, 0.6425]),
         spread_variance=np.array([1.05, 0.65]),
     )
@@ -329,7 +328,6 @@ class TestJointMagnitudeCdf:
 
     def test_single_port_is_rayleigh(self):
         profile = CorrelationProfile(
-            ports=(1,),
             mu=np.array([0.0]),
             spread_variance=np.array([1.2]),
         )
@@ -362,7 +360,6 @@ class TestJointMagnitudeCdf:
         # anchor CN(0, s1), others mu * anchor + CN(0, sj): the law the
         # conditional-Rician integral describes exactly
         profile = CorrelationProfile(
-            ports=(1, 3, 5),
             mu=np.array([0.0, 0.64, 0.12]),
             spread_variance=np.array([1.08, 0.62, 1.02]),
         )
@@ -403,15 +400,12 @@ class TestJointMagnitudeCdf:
             joint_magnitude_cdf(np.array([1.0, -0.5]), profile)
 
 
-def _batch_matches_single_calls(taus, spreads, mu, ports):
-    batch = CorrelationProfile(
-        ports=ports, mu=mu, spread_variance=spreads
-    )
+def _batch_matches_single_calls(taus, spreads, mu):
+    batch = CorrelationProfile(mu=mu, spread_variance=spreads)
     got = joint_magnitude_cdf(taus, batch)
     assert got.shape == (len(taus),)
     expected = [
-        joint_magnitude_cdf(t, CorrelationProfile(
-            ports=ports, mu=mu, spread_variance=s))
+        joint_magnitude_cdf(t, CorrelationProfile(mu=mu, spread_variance=s))
         for t, s in zip(taus, spreads)
     ]
     # bit for bit, not approximately: a row must not see its batch
@@ -428,7 +422,7 @@ class TestJointMagnitudeCdfBatch:
         taus[5, 2] = 0.0  # a zero threshold anywhere gives exactly 0
         taus[11, 0] = 0.0
         taus[17] = 40.0   # past the truncation radius
-        got = _batch_matches_single_calls(taus, spreads, mu, (1, 3, 5, 7))
+        got = _batch_matches_single_calls(taus, spreads, mu)
         assert got[5] == 0.0 and got[11] == 0.0
         assert np.count_nonzero(got) == len(got) - 2
 
@@ -439,7 +433,7 @@ class TestJointMagnitudeCdfBatch:
         spreads = rng.uniform(0.5, 1.5, size=(7, 4))
         taus = rng.uniform(0.05, 3.0, size=(7, 4))
         _batch_matches_single_calls(
-            taus, spreads, np.array([0.0, 0.64, -0.12, 0.4]), (1, 3, 5, 7)
+            taus, spreads, np.array([0.0, 0.64, -0.12, 0.4])
         )
 
     def test_one_port_exact_branch(self):
@@ -448,7 +442,7 @@ class TestJointMagnitudeCdfBatch:
         tau = 0.4786618688802179
         spreads = np.array([[1.2], [0.7], [1.2]])
         taus = np.array([[0.9], [0.0], [tau]])
-        got = _batch_matches_single_calls(taus, spreads, np.array([0.0]), (1,))
+        got = _batch_matches_single_calls(taus, spreads, np.array([0.0]))
         assert got[1] == 0.0
         assert got[2] == -math.expm1(-(tau**2) / 1.2)
 
@@ -485,8 +479,7 @@ class TestJointMagnitudeCdfBatch:
         spreads = rng.uniform(0.5, 1.5, size=(25, 3))
         taus = rng.uniform(0.05, 3.0, size=(25, 3))
         profile = CorrelationProfile(
-            ports=(1, 3, 5), mu=np.array([0.0, 0.64, 0.12]),
-            spread_variance=spreads,
+            mu=np.array([0.0, 0.64, 0.12]), spread_variance=spreads,
         )
         joint_magnitude_cdf(taus, profile)
         batched = len(calls)
@@ -494,8 +487,7 @@ class TestJointMagnitudeCdfBatch:
         for t, s in zip(taus, spreads):
             calls.clear()
             joint_magnitude_cdf(t, CorrelationProfile(
-                ports=(1, 3, 5), mu=profile.mu,
-                spread_variance=s))
+                mu=profile.mu, spread_variance=s))
             singles.append(len(calls))
         assert batched == max(singles)
 

@@ -74,7 +74,7 @@ def test_simulated_outage_with_explicit_pilots(desk_cfg, desk_budget, power):
 @pytest.mark.parametrize("power", POWERS)
 def test_skip_rule_at_equal_relative_targets(desk_cfg, stock_fluid, power):
     counts = [
-        min_skipped_ports(0.3, 1.0 / math.sqrt(math.pi * net.bs_density), 1,
+        min_skipped_ports(0.3, 1.0 / math.sqrt(math.pi * net.bs_density),
                           desk_cfg, stock_fluid, net, COHERENCE_BANDWIDTH,
                           COHERENCE_TIME, ESTIMATION_FRACTION)
         for net in doubled_variance_and_power(power)

@@ -96,8 +96,9 @@ class TestLoadConfig:
         budget = cfg.budget()
         assert budget.total_uses == 5_000_000
         target = cfg.target(budget)
+        data_fraction = budget.data_uses / budget.total_uses
         np.testing.assert_allclose(
-            (1.0 + target.threshold) ** target.data_fraction, 4.0, rtol=1e-12
+            (1.0 + target.threshold) ** data_fraction, 4.0, rtol=1e-12
         )
 
     def test_unknown_key_points_at_the_line(self, tmp_path):
@@ -629,6 +630,26 @@ class TestMain:
         assert errors[0].startswith(f"{config}: cannot read the config")
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["2", "7", "-1"])
+    def test_faithful_pilots_off_zero_or_one_exits_2_before_any_point(
+        self, tmp_path, caplog, capsys, monkeypatch, value
+    ):
+        # once ran explicit pilots with exit 0, logging faithful_pilots=1
+        points = _skip_points(monkeypatch)
+        out = tmp_path / "rows.csv"
+        code = main([
+            "--config", write_config(tmp_path, f"faithful_pilots = {value}\n"),
+            "--sweep", "bs-density=5e-5:1e-4:2", "--engines", "monte-carlo",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert not points
+        assert not out.exists()
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [f"faithful_pilots must be 0 or 1, got {value}"]
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_out_exits_2_before_any_point(
         self, tmp_path, caplog, capsys, monkeypatch, where
@@ -780,6 +801,32 @@ class TestMemoryGuard:
         with pytest.raises(ConfigError, match="MiB budget"):
             run_sweep(spec, base)
         assert not points
+
+    def test_a_base_value_the_grid_replaces_does_not_count(
+        self, monkeypatch
+    ):
+        # no grid point runs the base itself, so only the grid values count
+        points = _skip_points(monkeypatch)
+        base = default_config()
+        base = replace(base, array=replace(base.array, num_fas=10**7))
+        run_sweep(SweepSpec(parameter="num-fas", grid=(1.0, 2.0),
+                            engines=("monte-carlo",)), base)
+        assert points == [1.0, 2.0]
+
+    def test_sweep_over_an_oversized_base_port_count_runs(self, tmp_path):
+        # once exit 2 with "about 1875040 MiB"; every point has 2-5 ports
+        out = tmp_path / "rows.csv"
+        code = main([
+            "--config", write_config(
+                tmp_path, "ports_per_fa = 10000000\nskipped_ports = 0\n"),
+            "--sweep", "ports-per-fa=2:5:4", "--engines", "analytic",
+            "--mode", "common-gamma", "--out", str(out),
+        ])
+        assert code == 0
+        rows = read_rows(out)
+        assert [row["sweep_value"] for row in rows] == ["2", "3", "4", "5"]
+        assert all(row["outage_analytic_common"] not in ("", "error")
+                   for row in rows)
 
     def test_points_run_at_once_multiply_the_chunk(self, monkeypatch):
         points = _skip_points(monkeypatch)

@@ -73,14 +73,14 @@ class TestSinrThreshold:
     def test_stock_value(self, stock_budget):
         target = sinr_threshold(1.0, stock_budget)
         np.testing.assert_allclose(target.threshold, 1.28228062, rtol=1e-8)
-        np.testing.assert_allclose(target.data_fraction, 0.84, rtol=1e-12)
 
     @pytest.mark.parametrize("rate", [0.25, 0.5, 1.0, 2.5])
     def test_rate_round_trip(self, rate, stock_budget):
         # the threshold inverts the rate relation over the data share
         t = sinr_threshold(rate, stock_budget)
+        data_fraction = stock_budget.data_uses / stock_budget.total_uses
         np.testing.assert_allclose(
-            (1.0 + t.threshold) ** t.data_fraction, 2.0**rate, rtol=1e-12
+            (1.0 + t.threshold) ** data_fraction, 2.0**rate, rtol=1e-12
         )
 
     def test_zero_rate_zero_threshold(self, stock_budget):
@@ -98,12 +98,9 @@ class TestSinrThreshold:
             sinr_threshold(2000.0, stock_budget)
 
     def test_rate_target_validation(self):
-        with pytest.raises(ValueError, match="zero rate"):
-            RateTarget(rate=1.0, threshold=0.0, data_fraction=0.84)
-        with pytest.raises(ValueError, match="zero rate"):
-            RateTarget(rate=0.0, threshold=1.0, data_fraction=0.84)
-        with pytest.raises(ValueError, match="data_fraction"):
-            RateTarget(rate=1.0, threshold=1.0, data_fraction=1.0)
+        RateTarget(threshold=0.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            RateTarget(threshold=-0.5)
 
 
 # =====================================================================
@@ -147,11 +144,7 @@ class TestOutageThresholds:
     def test_threshold_scales_with_target(
         self, stock_cfg, stock_net, stock_budget, stock_target
     ):
-        doubled = RateTarget(
-            rate=stock_target.rate,
-            threshold=2.0 * stock_target.threshold,
-            data_fraction=stock_target.data_fraction,
-        )
+        doubled = RateTarget(threshold=2.0 * stock_target.threshold)
         base = outage_thresholds(
             70.0, 3e-8, stock_cfg, stock_net, stock_budget, stock_target
         )
