@@ -43,6 +43,7 @@ from .geometry import (
     FaArrayConfig,
     FluidParams,
     build_frame_budget,
+    trained_port_count,
     trained_port_indices,
 )
 from .mc import TrialPlan, chunk_bytes, estimate_outage
@@ -109,6 +110,11 @@ _MAX_GRID_POINTS = 1000
 # every preset needs at most ~1.3 GB even with all its points running
 # together
 _MEMORY_BUDGET = 2 * 2**30
+# peak bytes of the bounds engine per trained port: the port index and
+# correlation lists of its common correlation, then the port index and
+# threshold arrays of each conditional bracket (about 80 at 10^3-10^6
+# trained ports)
+_BOUNDS_BYTES_PER_PORT = 100
 
 # stock values; every key can be overridden in the config file. The
 # network, array and fluid values are their dataclasses' field defaults.
@@ -343,7 +349,7 @@ def _compute_point(index, value, cfg, spec, mode):
             row[column] = "error"
         failures.append(
             f"point {index} ({spec.parameter}={_format(value)}) "
-            f"{engine}: {exc}"
+            f"{engine}: {str(exc) or type(exc).__name__}"
         )
 
     def run(engine, columns, compute):
@@ -413,8 +419,8 @@ def _check_memory(configs, engines, concurrent):
 
     A point runs its engines one after another, so each estimate is held
     against the budget on its own: Monte Carlo chunks where
-    ``monte-carlo`` runs, the analytic arrays where ``analytic`` does
-    (the bounds engine's arrays do not grow with the array size).
+    ``monte-carlo`` runs, the analytic arrays where ``analytic`` does,
+    and the port sets where ``bounds`` does.
     """
 
     def check(what, sizes, remedy):
@@ -434,6 +440,11 @@ def _check_memory(configs, engines, concurrent):
     if "analytic" in engines:
         check("analytic outage arrays",
               [outage_bytes(c.array) for c in configs],
+              "lower ports_per_fa or raise skipped_ports")
+    if "bounds" in engines:
+        check("bounds port sets",
+              [trained_port_count(c.array) * _BOUNDS_BYTES_PER_PORT
+               for c in configs],
               "lower ports_per_fa or raise skipped_ports")
 
 
@@ -459,11 +470,12 @@ def run_sweep(spec, base, mode="both"):
 
     Raises :class:`ConfigError` before any point runs when a grid value
     lies outside its parameter's domain, or when the estimated memory of
-    a requested engine (one Monte Carlo chunk, or the analytic outage's
-    arrays) at any grid value, times the number of points run at once,
-    would pass the memory budget; ``base`` itself runs at no point, so a
-    value the grid replaces is not checked. A frame that
-    cannot fit at a valid value is a failure of that point only.
+    a requested engine (one Monte Carlo chunk, the analytic outage's
+    arrays, or the bounds engine's port sets) at any grid value, times
+    the number of points run at once, would pass the memory budget;
+    ``base`` itself runs at no point, so a value the grid replaces is
+    not checked. A frame that cannot fit at a valid value is a failure
+    of that point only.
 
     Grid points run on a worker pool but rows come back in grid order,
     and each Monte Carlo point owns a stream keyed by its grid index,

@@ -74,8 +74,6 @@ class InterferenceModel:
 
     shape: float
     scale: float
-    mean: float
-    variance: float
 
 
 def sample_serving_distance(rng, bs_density, size=None):
@@ -137,9 +135,8 @@ def gamma_interference_model(exclusion_radius, net):
     resulting shape is typically far below one, concentrating nearly all
     probability mass at zero with a thin far tail.
 
-    A 1-D array of radii gives one model whose ``shape``, ``scale`` and
-    ``mean`` are arrays, entry k equal to the call on radius k bit for
-    bit.
+    A 1-D array of radii gives one model whose ``shape`` and ``scale``
+    are arrays, entry k equal to the call on radius k bit for bit.
     """
     radii = np.asarray(exclusion_radius, dtype=float)
     if np.any(radii <= 0.0):
@@ -149,13 +146,7 @@ def gamma_interference_model(exclusion_radius, net):
     decays = [r ** (2.0 - net.path_loss_exponent)
               for r in radii.reshape(-1).tolist()]
     mean = campbell_mean(np.array(decays), net)
-    variance = 2.0
-    shape, scale = mean**2 / variance, variance / mean
+    shape, scale = mean**2 / 2.0, 2.0 / mean
     if radii.ndim == 0:
-        shape, scale, mean = float(shape[0]), float(scale[0]), float(mean[0])
-    return InterferenceModel(
-        shape=shape,
-        scale=scale,
-        mean=mean,
-        variance=variance,
-    )
+        shape, scale = float(shape[0]), float(scale[0])
+    return InterferenceModel(shape=shape, scale=scale)

@@ -69,26 +69,19 @@ __all__ = [
 # enters through Gamma draws matched to its Campbell mean and variance
 NEAR_FIELD_RATIO = 4.0
 
-# peak bytes of one chunk: a fixed share (the port geometry and
-# correlations, index temporaries, interpreter objects), then per trial
-# a share per near-field interferer (index, float32 gain, the float64
-# fades buffer), per antenna and trained port (the float32 normal
-# block, its product temporary and the powers, with the per-port
-# distances, error variances and scales folded in), more per port with
-# explicit pilots (the float32 scale of the realized pilot
-# interference), and per trial (the far-field Gamma laws, the shared
-# draw, each sum with its fresh draw). The chunk's marginal cost is
-# 19-25 bytes per antenna and trained port; a share of 50 keeps the
-# estimate of an absurd port count above 1e14 bytes (4 antennas of
-# 5e8 trained ports, 1000 trials), and the other shares are fitted
-# under it. The estimate is then 1.01-2.49 times the tracemalloc peak
-# of _simulate_chunk from 64 to 8192 trials, 1 to 8 antennas and 1 to
-# 30 trained ports, the high end at many antenna-port pairs
-_FIXED_BYTES = 24_000
-_BYTES_PER_INTERFERER = 20
-_BYTES_PER_PORT = 50
-_BYTES_PER_PILOT_PORT = 4
-_BYTES_PER_TRIAL = 64
+# peak bytes of one chunk, fitted to the tracemalloc peak of
+# _simulate_chunk: a fixed share (the port geometry and correlations,
+# interpreter objects), then per trial a share for the field stage (its
+# per-trial arrays and 15 near-field interferers on average), one per
+# trained port (the (n, j) link distances, error variances and scales)
+# and one per antenna and trained port (the float32 estimate block, its
+# product temporary and the powers). Over 1-8 antennas, 1-30 trained
+# ports, 64-8192 trials and both pilot models the estimate is 1.08-1.79
+# times the peak
+_FIXED_BYTES = 32_000
+_BYTES_PER_TRIAL = 430
+_BYTES_PER_TRIAL_PORT = 18
+_BYTES_PER_ANTENNA_PORT = 32
 
 
 @dataclass(frozen=True)
@@ -112,24 +105,18 @@ class TrialPlan:
 def chunk_bytes(plan, cfg):
     """Estimated peak memory in bytes of one chunk of ``plan`` at ``cfg``.
 
-    A fixed share plus one per trial, for min(chunk_size, num_trials)
-    trials. A trial holds on average NEAR_FIELD_RATIO^2 - 1 = 15
-    near-field interferers, at any density (pi * lambda * rho^2 is unit
-    exponential), and arrays over num_fas x trained ports, one more of
-    them with explicit pilots.
+    A fixed share plus, for each of min(chunk_size, num_trials) trials,
+    one share per trial, one per trained port and one per antenna and
+    trained port, for either pilot model.
     Arithmetic only: it builds nothing of the size it estimates.
     """
     trials = min(plan.chunk_size, plan.num_trials)
     trained = trained_port_count(cfg)
-    per_port = _BYTES_PER_PORT
-    if plan.faithful_pilots:
-        per_port += _BYTES_PER_PILOT_PORT
-    per_trial = (
-        _BYTES_PER_INTERFERER * (NEAR_FIELD_RATIO**2 - 1)
-        + per_port * cfg.num_fas * trained
-        + _BYTES_PER_TRIAL
+    return _FIXED_BYTES + trials * (
+        _BYTES_PER_TRIAL
+        + trained * (_BYTES_PER_TRIAL_PORT
+                     + cfg.num_fas * _BYTES_PER_ANTENNA_PORT)
     )
-    return int(_FIXED_BYTES + trials * per_trial)
 
 
 def _chunk_rng(seed, stream_key, chunk_index):
@@ -196,13 +183,10 @@ def _sample_field(rng, n, cfg, net):
     far_scale = far_var / far_mean
     far_shared = rng.gamma(far_shape, far_scale)
 
-    # one buffer for every call's fades, in double as bincount reads its
-    # weights: no allocation and no cast copy per call
-    fades = np.empty(total)
-
     def faded_sums():
-        rng.standard_exponential(out=fades)
-        np.multiply(fades, path_gain, out=fades)
+        # fades in double, as bincount reads its weights
+        fades = rng.standard_exponential(total)
+        fades *= path_gain
         # a sum, not +=: bincount counts in integers when no trial of
         # the chunk has a near-field point
         sums = np.bincount(trial_idx, weights=fades, minlength=n) + far_shared

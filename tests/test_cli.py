@@ -471,6 +471,29 @@ class TestMain:
         assert all("analytic: rate 2000" in e for e in errors[:2])
         assert errors[2] == "2 grid point engine(s) failed"
 
+    def test_failure_without_message_names_its_exception(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        # an engine's MemoryError once logged nothing after "bounds: "
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("fluidcell.cli.averaged_outage_bounds",
+                            out_of_memory)
+        out = str(tmp_path / "rows.csv")
+        code = main([
+            "--sweep", "bs-density=5e-5:5e-5:1", "--engines", "bounds",
+            "--interference-limited", "--out", out,
+        ])
+        assert code == 1
+        assert read_rows(out)[0]["outage_lower"] == "error"
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [
+            "point 0 (bs-density=5e-05) bounds: MemoryError",
+            "1 grid point engine(s) failed",
+        ]
+
     @pytest.mark.parametrize("sweep, match", [
         ("bs-density=0:1e-4:2", "bs-density=0: bs_density must be positive"),
         ("tx-power=-1:1:2", "tx-power=-1: tx_power and noise_power"),
@@ -720,20 +743,32 @@ def _skip_points(monkeypatch):
     return points
 
 
+_MONTE_CARLO_SWEEP = [
+    "--trials", "1000000000",
+    "--sweep", "tx-power=1.0:2.0:2", "--engines", "monte-carlo",
+]
+
+
 class TestMemoryGuard:
-    @pytest.mark.parametrize("config", [
-        "chunk_size = 1000000000\n",
-        "ports_per_fa = 1000000000\n",
+    @pytest.mark.parametrize("config, run", [
+        pytest.param("chunk_size = 1000000000\n", _MONTE_CARLO_SWEEP,
+                     id="chunk_size = 1000000000\n"),
+        pytest.param("ports_per_fa = 1000000000\n", _MONTE_CARLO_SWEEP,
+                     id="ports_per_fa = 1000000000\n"),
+        # once built its port sets as Python tuples and lists, several
+        # GB, before any estimate of them
+        pytest.param("ports_per_fa = 100000000\nskipped_ports = 0\n", [
+            "--sweep", "bs-density=5e-5:5e-5:1", "--engines", "bounds",
+            "--interference-limited",
+        ], id="bounds"),
     ])
     def test_huge_chunk_fails_before_any_point(
-        self, tmp_path, caplog, monkeypatch, config
+        self, tmp_path, caplog, monkeypatch, config, run
     ):
         points = _skip_points(monkeypatch)
         out = tmp_path / "rows.csv"
         code = main([
-            "--config", write_config(tmp_path, config),
-            "--trials", "1000000000",
-            "--sweep", "tx-power=1.0:2.0:2", "--engines", "monte-carlo",
+            "--config", write_config(tmp_path, config), *run,
             "--out", str(out),
         ])
         assert code == 2

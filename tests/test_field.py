@@ -247,7 +247,6 @@ class TestGammaModel:
         np.testing.assert_allclose(
             model.shape * model.scale**2, 2.0, rtol=1e-12
         )
-        assert model.variance == 2.0
         assert model == gamma_interference_model(90.0, NetworkConfig())
 
     @pytest.mark.parametrize("exponent", [4.0, 3.5, 2.7])
@@ -259,14 +258,16 @@ class TestGammaModel:
         radii = np.random.default_rng(4).uniform(1.0, 400.0, 500)
         batch = gamma_interference_model(radii, net)
         singles = [gamma_interference_model(r, net) for r in radii.tolist()]
-        for field in ("shape", "scale", "mean"):
+        for field in ("shape", "scale"):
             assert getattr(batch, field).tolist() == [
                 getattr(m, field) for m in singles
             ]
-        assert batch.variance == singles[0].variance
-        assert [m.mean for m in singles] == [
-            mean_interference(r, net) for r in radii.tolist()
-        ]
+        np.testing.assert_allclose(
+            batch.shape * batch.scale,
+            [mean_interference(r, net) for r in radii.tolist()], rtol=1e-12
+        )
+        np.testing.assert_allclose(batch.shape * batch.scale**2, 2.0,
+                                   rtol=1e-12)
         with pytest.raises(ValueError):
             gamma_interference_model(np.array([50.0, 0.0]), net)
 
@@ -283,5 +284,5 @@ class TestGammaModel:
         draws = rng.gamma(model.shape, model.scale, size=400_000)
         zero_fraction = np.mean(draws == 0.0)
         assert zero_fraction > 0.5
-        se = math.sqrt(model.variance / draws.size)
-        assert abs(np.mean(draws) - model.mean) < 4.0 * se
+        se = math.sqrt(model.shape * model.scale**2 / draws.size)
+        assert abs(np.mean(draws) - model.shape * model.scale) < 4.0 * se

@@ -72,12 +72,20 @@ class TestChunkBytes:
                 num_fas=num_fas, ports_per_fa=ports, skipped_ports=skipped))
 
         # 15 ports with one skipped train 8, as do 8 ports with none
-        assert size(4, 15, 1) == size(4, 8, 0) == size(2, 16, 0)
+        assert size(4, 15, 1) == size(4, 8, 0)
         per_port = size(4, 16, 0) - size(4, 15, 0)
         assert per_port > 0
         assert size(4, 30, 0) - size(4, 15, 0) == 15 * per_port
-        # an absurd port count is estimated, not built
-        assert size(4, 10**9, 1) > 10**14
+        per_fa = size(5, 8, 0) - size(4, 8, 0)
+        assert per_fa > 0
+        assert size(8, 8, 0) - size(4, 8, 0) == 4 * per_fa
+        # a trained port costs more on more antennas
+        assert size(8, 16, 0) - size(8, 15, 0) > per_port
+        # an absurd port count is estimated, not built: its estimate
+        # blocks alone are far above any memory budget
+        blocks = 1000 * 4 * 5 * 10**8 * fluidcell.mc._BYTES_PER_ANTENNA_PORT
+        assert blocks > 10**13
+        assert size(4, 10**9, 1) >= blocks
 
     @pytest.mark.parametrize("faithful", [False, True])
     @pytest.mark.parametrize("num_fas, ports, skipped, trials", [
@@ -87,6 +95,7 @@ class TestChunkBytes:
         (4, 30, 0, 256),
         (2, 5, 1, 8192),
         (1, 30, 0, 64),
+        (8, 30, 0, 2048),
     ])
     def test_bounds_the_traced_peak_of_a_chunk(
         self, stock_net, num_fas, ports, skipped, trials, faithful
