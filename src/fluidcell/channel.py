@@ -19,6 +19,7 @@ import numpy as np
 from .field import campbell_mean
 from .geometry import (
     InfeasibleFrameError,
+    _port_gaps,
     fluid_velocity,
     link_distances,
     trained_port_indices,
@@ -81,17 +82,14 @@ def autocorrelation(i, cfg):
 
     Zero for the first port by convention; otherwise the zeroth-order
     Bessel of the electrical port separation, which can go negative.
+    Elementwise over an array of indices, with one Bessel call.
     """
-    if not 1 <= i <= cfg.ports_per_fa:
-        raise ValueError(f"port index {i} outside 1..{cfg.ports_per_fa}")
-    if i == 1:
-        return 0.0
-    return float(
-        bessel_j0(
-            2.0 * math.pi * (i - 1)
-            * cfg.aperture_wavelengths / (cfg.ports_per_fa - 1)
-        )
-    )
+    gaps = _port_gaps(i, cfg)
+    mu = np.where(gaps == 0, 0.0, bessel_j0(
+        2.0 * math.pi * gaps
+        * cfg.aperture_wavelengths / (cfg.ports_per_fa - 1)
+    ))
+    return mu if mu.ndim else float(mu)
 
 
 def pilot_noise_ratio(r, net):
@@ -158,7 +156,7 @@ def correlation_profile(cfg, net, budget, rho):
     the batched profile, one row of spread variances per distance.
     """
     ports = trained_port_indices(cfg)
-    mu = np.array([autocorrelation(p, cfg) for p in ports])
+    mu = autocorrelation(ports, cfg)
     r = link_distances(ports, rho, cfg)
     err = error_variance_at(r, budget.pilot_length, net)
     return CorrelationProfile(mu=mu, spread_variance=(1.0 - mu**2) + err)
@@ -300,7 +298,7 @@ def sample_correlated_channels(rng, cfg, size=None, ports=None):
         ports = range(1, cfg.ports_per_fa + 1)
     if ports[0] != 1:
         raise ValueError("the sampled ports must start at port 1")
-    mu = np.array([autocorrelation(p, cfg) for p in ports])
+    mu = autocorrelation(ports, cfg)
     m, j = cfg.num_fas, len(mu)
     shape = (m, j) if size is None else (size, m, j)
     scale = math.sqrt(0.5)

@@ -110,11 +110,10 @@ _MAX_GRID_POINTS = 1000
 # every preset needs at most ~1.3 GB even with all its points running
 # together
 _MEMORY_BUDGET = 2 * 2**30
-# peak bytes of the bounds engine per trained port: the port index and
-# correlation lists of its common correlation, then the port index and
-# threshold arrays of each conditional bracket (about 80 at 10^3-10^6
-# trained ports)
-_BOUNDS_BYTES_PER_PORT = 100
+# peak bytes of the bounds engine per trained port: the index, gap, Bessel
+# argument and correlation arrays of its common correlation (33 traced at
+# 10^5-10^6 trained ports, plus half again as margin)
+_BOUNDS_BYTES_PER_PORT = 50
 
 # stock values; every key can be overridden in the config file. The
 # network, array and fluid values are their dataclasses' field defaults.
@@ -326,9 +325,10 @@ def _apply_sweep_value(base, parameter, value):
 
 
 def _common_correlation(array):
-    ports = trained_port_indices(array)
-    tail = [abs(autocorrelation(p, array)) for p in ports[1:]]
-    return sum(tail) / len(tail) if tail else 0.0
+    """Mean |correlation| of the trained ports after the first with it."""
+    tail = np.abs(autocorrelation(trained_port_indices(array)[1:], array))
+    # a left-to-right sum (np.mean regroups its terms past seven of them)
+    return float(np.cumsum(tail)[-1]) / len(tail) if len(tail) else 0.0
 
 
 def _format(value):

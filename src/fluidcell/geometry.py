@@ -94,23 +94,31 @@ class FrameBudget:
     pilot_length: float          # uses per trained port per antenna
 
 
+def _port_gaps(i, cfg):
+    """Gaps ``i - 1`` to the first port, elementwise over 1-based ``i``."""
+    i = np.asarray(i)
+    outside = (i < 1) | (i > cfg.ports_per_fa)
+    if outside.any():
+        raise ValueError(f"port index {i[outside][0]} outside "
+                         f"1..{cfg.ports_per_fa}")
+    return i - 1
+
+
 def port_displacement(i, cfg):
-    """Distance (m) of port ``i`` (1-based) from the first port."""
-    if not 1 <= i <= cfg.ports_per_fa:
-        raise ValueError(f"port index {i} outside 1..{cfg.ports_per_fa}")
-    return (i - 1) / (cfg.ports_per_fa - 1) * cfg.aperture
+    """Distance (m) of port ``i`` (1-based) from the first port, for an
+    index or elementwise over an array of them."""
+    d = _port_gaps(i, cfg) / (cfg.ports_per_fa - 1) * cfg.aperture
+    return d if d.ndim else float(d)
 
 
 def link_distance(i, rho, cfg):
     """Distance (m) from the serving transmitter to port ``i``.
 
     ``rho`` is the distance to the first port; the ports are laid out
-    broadside, so the offset adds in quadrature. Evaluated with
-    ``np.hypot``, as :func:`link_distances` is.
+    broadside, so the offset adds in quadrature. The one-port case of
+    :func:`link_distances`, so the two agree bit for bit.
     """
-    if rho <= 0.0:
-        raise ValueError("serving distance must be positive")
-    return float(np.hypot(rho, port_displacement(i, cfg)))
+    return float(link_distances([i], rho, cfg)[0])
 
 
 def link_distances(ports, rho, cfg):
@@ -118,15 +126,13 @@ def link_distances(ports, rho, cfg):
 
     ``rho`` may be an array; the result appends a port axis to its
     shape. One ``np.hypot`` over the serving distances and the port
-    offsets gives every entry; :func:`link_distance` uses the same
-    primitive, so a batch agrees with the scalar calls bit for bit
-    (``math.hypot`` differs from it in the last bit on some pairs).
+    offsets gives every entry (``math.hypot`` differs from it in the
+    last bit on some pairs).
     """
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("serving distance must be positive")
-    shifts = np.array([port_displacement(p, cfg) for p in ports])
-    return np.hypot(rho[..., None], shifts)
+    return np.hypot(rho[..., None], port_displacement(ports, cfg))
 
 
 def fluid_velocity(params):
@@ -150,12 +156,12 @@ def switching_delay(x, cfg, params):
 
 
 def trained_port_indices(cfg):
-    """1-based indices of the ports that get their own pilot."""
-    return tuple(range(1, cfg.ports_per_fa + 1, cfg.skipped_ports + 1))
+    """1-based indices of the ports that get their own pilot, an array."""
+    return np.arange(1, cfg.ports_per_fa + 1, cfg.skipped_ports + 1)
 
 
 def trained_port_count(cfg):
-    """``len(trained_port_indices(cfg))``, building no index set."""
+    """``len(trained_port_indices(cfg))``, building no index array."""
     return -(-cfg.ports_per_fa // (cfg.skipped_ports + 1))
 
 

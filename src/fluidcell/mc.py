@@ -119,12 +119,16 @@ def chunk_bytes(plan, cfg):
     )
 
 
-def _chunk_rng(seed, stream_key, chunk_index):
-    """Independent stream for one chunk, stable across worker counts."""
-    ss = np.random.SeedSequence(
-        entropy=int(seed), spawn_key=tuple(stream_key) + (int(chunk_index),)
-    )
-    return np.random.Generator(np.random.SFC64(ss))
+def _chunks(plan, stream_key, stripe=0, stripes=1):
+    """Size and stream of chunks ``stripe``, ``stripe + stripes``, ... of
+    ``plan``: each depends only on the plan, ``stream_key`` and the
+    chunk's index, never on the striping."""
+    size = plan.chunk_size
+    for start in range(stripe * size, plan.num_trials, stripes * size):
+        ss = np.random.SeedSequence(entropy=int(plan.seed),
+                                    spawn_key=(*stream_key, start // size))
+        yield (min(size, plan.num_trials - start),
+               np.random.Generator(np.random.SFC64(ss)))
 
 
 def _lmmse_coefficient(err, amp):
@@ -201,11 +205,11 @@ def _estimate_powers(rng, r_ports, err, faded_sums, cfg, net, budget, plan):
     joint law at link distances ``r_ports`` and error variances ``err``."""
     n, j = r_ports.shape
     m = cfg.num_fas
-    ports = trained_port_indices(cfg)
 
     # correlation of each trained port with its antenna's first port, 1
     # at port 1 itself (autocorrelation reports 0 there by convention)
-    mu = np.array([1.0] + [autocorrelation(p, cfg) for p in ports[1:]])
+    mu = autocorrelation(trained_port_indices(cfg), cfg)
+    mu[0] = 1.0
     # LMMSE gain on the channel, 1 - sigma_e^2 by orthogonality for both
     # pilot models (the explicit pilots' coefficient times amplitude)
     gain = 1.0 - err
@@ -282,29 +286,28 @@ def estimate_outage(plan, cfg, net, budget, target, workers=1,
                     stream_key=()):
     """Outage probability and its binomial standard error.
 
-    ``workers`` chunks run at once on a thread pool. Chunk boundaries
-    and per-chunk streams depend only on the plan and ``stream_key``,
-    and the outage count is an integer sum, so the result is
-    bit-identical for every worker count.
+    ``workers`` stripes run at once on a thread pool, chunk i on stripe
+    i mod ``workers``, each summing its own counts, so memory does not
+    grow with the chunk count. Chunk boundaries and streams depend only
+    on the plan and ``stream_key``, and the count is an integer sum, so
+    the result is bit-identical for every worker count.
     """
-    n = plan.num_trials
-    chunk = plan.chunk_size
-    n_chunks = (n + chunk - 1) // chunk
+    stripes = max(1, min(workers, -(-plan.num_trials // plan.chunk_size)))
 
-    def one(index):
-        size = min(chunk, n - index * chunk)
-        rng = _chunk_rng(plan.seed, stream_key, index)
-        return _simulate_chunk(rng, size, cfg, net, budget, target, plan)
+    def stripe(first):
+        return sum(
+            _simulate_chunk(rng, size, cfg, net, budget, target, plan)
+            for size, rng in _chunks(plan, stream_key, first, stripes)
+        )
 
-    if workers <= 1 or n_chunks == 1:
-        count = sum(one(i) for i in range(n_chunks))
+    if stripes == 1:
+        count = stripe(0)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            count = sum(ex.map(one, range(n_chunks)))
+        with ThreadPoolExecutor(max_workers=stripes) as ex:
+            count = sum(ex.map(stripe, range(stripes)))
 
-    p = count / n
-    stderr = math.sqrt(p * (1.0 - p) / n)
-    return p, stderr
+    p = count / plan.num_trials
+    return p, math.sqrt(p * (1.0 - p) / plan.num_trials)
 
 
 def estimate_lmmse_mse(plan, cfg, net, budget, rho, port, stream_key=()):
@@ -326,14 +329,9 @@ def estimate_lmmse_mse(plan, cfg, net, budget, rho, port, stream_key=()):
     coeff = _lmmse_coefficient(err, amp)
 
     n = plan.num_trials
-    chunk = plan.chunk_size
-    n_chunks = (n + chunk - 1) // chunk
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     scale = math.sqrt(0.5)
-    for index in range(n_chunks):
-        size = min(chunk, n - index * chunk)
-        rng = _chunk_rng(plan.seed, stream_key, index)
+    for size, rng in _chunks(plan, stream_key):
         g = rng.normal(0.0, scale, size) + 1j * rng.normal(0.0, scale, size)
         z = math.sqrt(floor) * (
             rng.normal(0.0, scale, size) + 1j * rng.normal(0.0, scale, size)

@@ -140,20 +140,17 @@ def conditional_outage_bounds(rho, interference, mu_common, cfg, net,
     """Closed-form (lower, upper) outage bracket, no quadrature.
 
     Valid in the interference-limited regime with one common
-    correlation across trained ports and a common link distance. The
-    estimation error variance collapses to its interference-only form
-    with the per-port training share read off the data-use count.
+    correlation across trained ports, one interference level and a
+    common link distance, so every port shares one decay e^(-xi) and
+    their tail is count * e^(-xi). The estimation error variance
+    collapses to its interference-only form with the per-port training
+    share read off the data-use count.
     """
     if rho <= 0.0:
         raise ValueError("serving distance must be positive")
     if not 0.0 <= abs(mu_common) < 1.0:
         raise ValueError("common correlation must satisfy |mu| < 1")
-    ports = trained_port_indices(cfg)
-    count = len(ports)
-    inter = np.broadcast_to(
-        np.asarray(interference, dtype=float), (count,)
-    )
-    if np.any(inter < 0.0):
+    if interference < 0.0:
         raise ValueError("interference must be nonnegative")
 
     mu = abs(mu_common)
@@ -161,14 +158,16 @@ def conditional_outage_bounds(rho, interference, mu_common, cfg, net,
     # share of data_uses / ports_per_fa
     err = campbell_mean(rho**2, net) * cfg.ports_per_fa / budget.data_uses
     spread = (1.0 - mu**2) + err
-    thetas = target.threshold * (rho**net.path_loss_exponent * inter + err)
-    xi = thetas**2 / spread
+    theta = target.threshold * (rho**net.path_loss_exponent * interference
+                                + err)
+    # not theta**2 or math.exp: libm rounds them apart from numpy
+    xi = theta * theta / spread
 
     decay = np.exp(-xi)
-    base = 1.0 - decay[0]
-    upsilon_up = -math.expm1(-xi[0] * (1.0 - mu) ** 2) / (1.0 + mu**2)
-    upsilon_low = -math.expm1(-xi[0] * (1.0 + mu) ** 2) / (1.0 + mu**2)
-    tail = float(np.sum(decay))
+    base = 1.0 - decay
+    upsilon_up = -math.expm1(-xi * (1.0 - mu) ** 2) / (1.0 + mu**2)
+    upsilon_low = -math.expm1(-xi * (1.0 + mu) ** 2) / (1.0 + mu**2)
+    tail = trained_port_count(cfg) * decay
 
     upper = min(1.0, max(0.0, base - upsilon_up * tail))
     lower = min(1.0, max(0.0, base - upsilon_low * tail))
@@ -267,7 +266,7 @@ def outage_probability(cfg, net, budget, target, spec=QuadratureSpec(),
 
     offsets = [0.0]  # common-gamma: one integral, anchored at rho itself
     if mode == "per-port-gamma":
-        offsets = [port_displacement(p, cfg) for p in trained_port_indices(cfg)]
+        offsets = port_displacement(trained_port_indices(cfg), cfg)
     product = 1.0
     for value in _distance_averaged(conditional, offsets, net, spec).tolist():
         product *= min(1.0, value)
@@ -288,9 +287,8 @@ def averaged_outage_bounds(mu_common, cfg, net, budget, target,
     def averaged(side):
         def conditional(rhos, gammas):
             return np.array([
-                conditional_outage_bounds(
-                    rho, gamma, mu_common, cfg, net, budget, target
-                )[side]
+                conditional_outage_bounds(rho, gamma, mu_common, cfg, net,
+                                          budget, target)[side]
                 for rho, gamma in zip(rhos.tolist(), gammas.tolist())
             ])
 

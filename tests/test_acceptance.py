@@ -208,8 +208,7 @@ def test_criterion_04_joint_magnitude_law():
 
     for n_ports, seed in ((2, 41), (3, 42)):
         cfg = FaArrayConfig(num_fas=1, ports_per_fa=n_ports, skipped_ports=0)
-        ports = trained_port_indices(cfg)
-        mu = np.array([autocorrelation(p, cfg) for p in ports])
+        mu = autocorrelation(trained_port_indices(cfg), cfg)
         profile = CorrelationProfile(mu=mu, spread_variance=1.0 - mu**2 + err)
         rng = np.random.default_rng(seed)
         taus = rng.uniform(0.5, 1.6, size=(20, n_ports))

@@ -42,6 +42,8 @@ from conftest import COHERENCE_BANDWIDTH, COHERENCE_TIME, ESTIMATION_FRACTION
 class TestAutocorrelation:
     def test_first_port_is_zero_by_convention(self, stock_cfg):
         assert autocorrelation(1, stock_cfg) == 0.0
+        assert type(autocorrelation(1, stock_cfg)) is float
+        assert type(autocorrelation(2, stock_cfg)) is float
 
     def test_adjacent_port_small_argument(self):
         # J0(2 pi * 0.2 / 19) from the ascending series
@@ -64,18 +66,28 @@ class TestAutocorrelation:
             cfg = FaArrayConfig(ports_per_fa=n, skipped_ports=0)
             values = [autocorrelation(i, cfg) for i in range(1, n + 1)]
             assert np.all(np.abs(values) <= 1.0)
+            # one call over an index array equals the scalar calls
+            ports = np.arange(1, n + 1)
+            assert autocorrelation(ports, cfg).tolist() == values
+            assert autocorrelation(ports[::-1].reshape(-1, 1),
+                                   cfg).ravel().tolist() == values[::-1]
 
     def test_decays_within_first_lobe(self, stock_cfg):
         # stock aperture keeps every separation inside the first lobe
         values = [autocorrelation(i, stock_cfg) for i in range(2, 16)]
         assert np.all(np.diff(values) < 0.0)
         assert np.all(np.asarray(values) > 0.0)
+        assert autocorrelation(range(2, 16), stock_cfg).tolist() == values
 
     def test_rejects_out_of_range_port(self, stock_cfg):
         with pytest.raises(ValueError):
             autocorrelation(0, stock_cfg)
         with pytest.raises(ValueError):
             autocorrelation(16, stock_cfg)
+        with pytest.raises(ValueError, match="port index 16 outside 1..15"):
+            autocorrelation(np.array([3, 16, 0, 17]), stock_cfg)
+        with pytest.raises(ValueError, match="port index 0 outside"):
+            autocorrelation(np.array([[3], [0]]), stock_cfg)
 
 
 # =====================================================================

@@ -9,6 +9,7 @@ SNR, so it does not depend on sigma^2 at all.
 
 import math
 
+import numpy as np
 import pytest
 
 from fluidcell import (
@@ -85,9 +86,8 @@ def test_skip_rule_at_equal_relative_targets(desk_cfg, stock_fluid, power):
 @pytest.mark.parametrize("power", POWERS)
 def test_interference_limited_bracket(desk_cfg, desk_budget, power):
     target = sinr_threshold(1.0, desk_budget)
-    ports = trained_port_indices(desk_cfg)
-    mu = sum(abs(autocorrelation(p, desk_cfg)) for p in ports[1:]) / (
-        len(ports) - 1)
+    mu = np.mean(np.abs(autocorrelation(trained_port_indices(desk_cfg)[1:],
+                                        desk_cfg)))
     brackets = [
         averaged_outage_bounds(mu, desk_cfg, NetworkConfig(
             channel_variance=variance, tx_power=power), desk_budget, target)

@@ -334,6 +334,30 @@ class TestRunSweep:
             assert row["outage_mc"] == ""
             assert row["outage_lower"] == ""
 
+    def test_bounds_point_makes_one_bessel_call(self, monkeypatch):
+        # the common correlation takes all 9,999 trained ports after the
+        # first through one Bessel call, not one call per port
+        calls = []
+        j0 = fluidcell.channel.bessel_j0
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return j0(x)
+
+        monkeypatch.setattr("fluidcell.channel.bessel_j0", counted)
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        base = load_config(os.path.join(CONFIG_DIR, "desk.cfg"))
+        base = replace(base, array=replace(base.array, ports_per_fa=10**4,
+                                           skipped_ports=0))
+        spec = SweepSpec(parameter="bs-density", grid=(5e-5,),
+                         engines=("bounds",), interference_limited=True)
+        rows, failures = run_sweep(spec, base)
+        assert not failures
+        assert calls == [(10**4 - 1,)]
+        lower, upper = (float(rows[0][c])
+                        for c in ("outage_lower", "outage_upper"))
+        assert 0.0 <= lower <= upper <= 1.0
+
     def test_rejects_unknown_mode(self):
         base = default_config()
         spec = SweepSpec(parameter="tx-power", grid=(1.0,))

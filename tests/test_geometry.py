@@ -25,6 +25,7 @@ from conftest import COHERENCE_BANDWIDTH, COHERENCE_TIME, ESTIMATION_FRACTION
 class TestPortLayout:
     def test_first_port_at_origin(self, stock_cfg):
         assert port_displacement(1, stock_cfg) == 0.0
+        assert type(port_displacement(7, stock_cfg)) is float
 
     def test_last_port_spans_aperture(self):
         cfg = FaArrayConfig(ports_per_fa=20)
@@ -32,15 +33,22 @@ class TestPortLayout:
                                    0.2 * 0.06, rtol=1e-15)
 
     def test_uniform_spacing(self, stock_cfg):
-        gaps = np.diff([port_displacement(i, stock_cfg)
-                        for i in range(1, 16)])
+        offsets = [port_displacement(i, stock_cfg) for i in range(1, 16)]
+        gaps = np.diff(offsets)
         np.testing.assert_allclose(gaps, gaps[0], rtol=1e-12)
+        # one call over an index array equals the scalar calls
+        ports = np.arange(1, 16)
+        assert port_displacement(ports, stock_cfg).tolist() == offsets
+        assert port_displacement(ports.reshape(3, 5),
+                                 stock_cfg).ravel().tolist() == offsets
 
     def test_out_of_range_port_rejected(self, stock_cfg):
         with pytest.raises(ValueError):
             port_displacement(0, stock_cfg)
         with pytest.raises(ValueError):
             port_displacement(16, stock_cfg)
+        with pytest.raises(ValueError, match="port index 0 outside 1..15"):
+            port_displacement(np.array([2, 0, 16]), stock_cfg)
 
     def test_link_distance_quadrature_sum(self, stock_cfg):
         rho = 40.0
@@ -130,15 +138,16 @@ class TestFluidMotion:
 
 class TestTrainedPorts:
     def test_stock_stride(self, stock_cfg):
-        assert trained_port_indices(stock_cfg) == (1, 3, 5, 7, 9, 11, 13, 15)
+        assert trained_port_indices(stock_cfg).tolist() == [
+            1, 3, 5, 7, 9, 11, 13, 15]
 
     def test_no_skipping_trains_everything(self):
         cfg = FaArrayConfig(ports_per_fa=6, skipped_ports=0)
-        assert trained_port_indices(cfg) == (1, 2, 3, 4, 5, 6)
+        assert trained_port_indices(cfg).tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_max_skipping_trains_first_only(self):
         cfg = FaArrayConfig(ports_per_fa=9, skipped_ports=8)
-        assert trained_port_indices(cfg) == (1,)
+        assert trained_port_indices(cfg).tolist() == [1]
 
     @pytest.mark.parametrize("n,nu", [(4, 1), (15, 2), (30, 3), (7, 6),
                                       (16, 1), (29, 4)])

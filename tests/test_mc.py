@@ -229,6 +229,32 @@ class TestEstimateOutage:
         assert peak < 64 * 2**20
         assert 0.0 <= p <= 1.0
 
+    def test_worker_pool_holds_no_record_per_chunk(
+        self, desk_cfg, stock_net, desk_budget, monkeypatch
+    ):
+        # a pool holding one future per chunk would keep about 1.6 KB
+        # per chunk (4.9 MB here); each stripe keeps one running total
+        seen = []
+
+        def one_outage_per_trial(rng, n, *rest):
+            seen.append(n)
+            return n
+
+        monkeypatch.setattr(fluidcell.mc, "_simulate_chunk",
+                            one_outage_per_trial)
+        plan = TrialPlan(num_trials=3000, chunk_size=1)
+        target = sinr_threshold(1.0, desk_budget)
+        tracemalloc.start()
+        try:
+            p, se = estimate_outage(plan, desk_cfg, stock_net, desk_budget,
+                                    target, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (p, se) == (1.0, 0.0)
+        assert len(seen) == 3000
+        assert peak < 2**20
+
 
 # =====================================================================
 # port selection and the SINR count
@@ -458,8 +484,8 @@ class TestPortEstimateLaw:
         g_hat = est[0] + 1j * est[1]  # (n, m, j)
 
         ports = trained_port_indices(desk_cfg)
-        mu = np.array([1.0] + [autocorrelation(p, desk_cfg)
-                               for p in ports[1:]])
+        mu = autocorrelation(ports, desk_cfg)
+        mu[0] = 1.0
         corr = np.outer(mu, mu)
         np.fill_diagonal(corr, 1.0)
         r = np.array([link_distance(p, rho, desk_cfg) for p in ports])
