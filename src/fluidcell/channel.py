@@ -230,16 +230,10 @@ def joint_magnitude_cdf(taus, profile, spec=QuadratureSpec()):
         raise ValueError("thresholds must be nonnegative")
     rows_tau = taus.reshape(-1, len(mu))
     rows_spread = spread.reshape(rows_tau.shape)
-    zero = np.any(rows_tau == 0.0, axis=1).tolist()
-    # scalar arithmetic per row, as a lone threshold vector gets it:
-    # libm's pow and expm1 round differently from numpy's array kernels
-    limits = [
-        0.0 if z else t ** 2 / s
-        for z, t, s in zip(zero, rows_tau[:, 0].tolist(),
-                           rows_spread[:, 0].tolist())
-    ]
+    limits = np.where(np.any(rows_tau == 0.0, axis=1), 0.0,
+                      rows_tau[:, 0] ** 2 / rows_spread[:, 0])
     if len(mu) == 1:
-        values = np.array([-math.expm1(-x) for x in limits])
+        values = -np.expm1(-limits)
     else:
         size = max(1, _GROUP_PAIRS // (len(mu) - 1))
         values = np.concatenate([

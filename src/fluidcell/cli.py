@@ -327,8 +327,7 @@ def _apply_sweep_value(base, parameter, value):
 def _common_correlation(array):
     """Mean |correlation| of the trained ports after the first with it."""
     tail = np.abs(autocorrelation(trained_port_indices(array)[1:], array))
-    # a left-to-right sum (np.mean regroups its terms past seven of them)
-    return float(np.cumsum(tail)[-1]) / len(tail) if len(tail) else 0.0
+    return float(np.mean(tail)) if len(tail) else 0.0
 
 
 def _format(value):
@@ -366,8 +365,11 @@ def _compute_point(index, value, cfg, spec, mode):
         target = (None if spec.parameter == "target-variance"
                   else cfg.target(budget))
     except Exception as exc:
+        filled = {}  # the cells the point would fill, by engine
+        _run_engines(lambda e, c, _: filled.setdefault(e, []).extend(c),
+                     index, spec, cfg, None, None, mode)
         for engine in spec.engines:
-            fail(engine, _ENGINE_COLUMNS[engine], exc)
+            fail(engine, filled[engine], exc)
     else:
         _run_engines(run, index, spec, cfg, budget, target, mode)
     row["wall_ms"] = f"{(time.perf_counter() - started) * 1e3:.3f}"
@@ -375,7 +377,8 @@ def _compute_point(index, value, cfg, spec, mode):
 
 
 def _run_engines(run, index, spec, cfg, budget, target, mode):
-    """Fill one point's cells through ``run(engine, columns, compute)``."""
+    """Fill one point's cells through ``run(engine, columns, compute)``;
+    only ``run`` calls ``compute``, so it may just collect the columns."""
     if spec.parameter == "target-variance":
         # design-rule sweep: the analytic column carries the minimum
         # skip count at the typical serving distance, nothing else

@@ -101,10 +101,9 @@ def mean_interference(exclusion_radius, net):
 def campbell_mean(decay, net):
     """Campbell mean of the field past radius r, from ``decay`` = r^(2 - a).
 
-    Elementwise over arrays. Callers raise the radius to its power
-    themselves, so each keeps its own rounding of it (libm's ``pow``
-    per float, numpy's vector power, or an exact square when the
-    mean is wanted rescaled by r^a).
+    Elementwise over arrays. Taking the decay rather than the radius
+    lets a caller pass an exact r^2 when it wants the mean rescaled by
+    r^a.
     """
     return (
         2.0 * math.pi * net.bs_density * decay
@@ -136,16 +135,11 @@ def gamma_interference_model(exclusion_radius, net):
     probability mass at zero with a thin far tail.
 
     A 1-D array of radii gives one model whose ``shape`` and ``scale``
-    are arrays, entry k equal to the call on radius k bit for bit.
+    are arrays, entry k equal to the call on radius k bit for bit: a
+    lone radius runs as a one-element batch.
     """
     radii = np.asarray(exclusion_radius, dtype=float)
-    if np.any(radii <= 0.0):
-        raise ValueError("exclusion_radius must be positive")
-    # Python floats per radius: numpy's vector ** rounds differently from
-    # libm's pow, and a radius must get one model alone or batched
-    decays = [r ** (2.0 - net.path_loss_exponent)
-              for r in radii.reshape(-1).tolist()]
-    mean = campbell_mean(np.array(decays), net)
+    mean = mean_interference(radii.reshape(-1), net)
     shape, scale = mean**2 / 2.0, 2.0 / mean
     if radii.ndim == 0:
         shape, scale = float(shape[0]), float(scale[0])

@@ -1,7 +1,8 @@
 """Special functions and adaptive quadrature backing the analytic outage path.
 
-Every closed-form expression in this package funnels through the functions
-here. The special functions are compiled ``scipy.special`` ufuncs; the
+The analytic path's quadrature and its Bessel and Marcum Q functions live
+here; the other modules also call numpy and scipy directly. The
+special functions are compiled ``scipy.special`` ufuncs; the
 Marcum Q function is the survival function of a noncentral chi-square
 with two degrees of freedom (``chndtr``), taken on the small side of the
 ridge beta = alpha and carried across it by the symmetry

@@ -145,32 +145,38 @@ def conditional_outage_bounds(rho, interference, mu_common, cfg, net,
     their tail is count * e^(-xi). The estimation error variance
     collapses to its interference-only form with the per-port training
     share read off the data-use count.
+
+    Elementwise over equal-shape arrays of ``rho`` and ``interference``,
+    entry k the call on pair k bit for bit; a scalar pair gives floats.
     """
-    if rho <= 0.0:
+    scalar = np.ndim(rho) == 0
+    r = np.asarray(rho, dtype=float).reshape(-1)
+    inter = np.asarray(interference, dtype=float).reshape(-1)
+    if np.any(r <= 0.0):
         raise ValueError("serving distance must be positive")
     if not 0.0 <= abs(mu_common) < 1.0:
         raise ValueError("common correlation must satisfy |mu| < 1")
-    if interference < 0.0:
+    if np.any(inter < 0.0):
         raise ValueError("interference must be nonnegative")
 
     mu = abs(mu_common)
     # interference term of the pilot-noise ratio over a per-port pilot
     # share of data_uses / ports_per_fa
-    err = campbell_mean(rho**2, net) * cfg.ports_per_fa / budget.data_uses
+    err = campbell_mean(r**2, net) * cfg.ports_per_fa / budget.data_uses
     spread = (1.0 - mu**2) + err
-    theta = target.threshold * (rho**net.path_loss_exponent * interference
-                                + err)
-    # not theta**2 or math.exp: libm rounds them apart from numpy
-    xi = theta * theta / spread
+    theta = target.threshold * (r**net.path_loss_exponent * inter + err)
+    xi = theta**2 / spread
 
     decay = np.exp(-xi)
     base = 1.0 - decay
-    upsilon_up = -math.expm1(-xi * (1.0 - mu) ** 2) / (1.0 + mu**2)
-    upsilon_low = -math.expm1(-xi * (1.0 + mu) ** 2) / (1.0 + mu**2)
+    upsilon_up = -np.expm1(-xi * (1.0 - mu) ** 2) / (1.0 + mu**2)
+    upsilon_low = -np.expm1(-xi * (1.0 + mu) ** 2) / (1.0 + mu**2)
     tail = trained_port_count(cfg) * decay
 
-    upper = min(1.0, max(0.0, base - upsilon_up * tail))
-    lower = min(1.0, max(0.0, base - upsilon_low * tail))
+    lower = np.clip(base - upsilon_low * tail, 0.0, 1.0)
+    upper = np.clip(base - upsilon_up * tail, 0.0, 1.0)
+    if scalar:
+        return float(lower[0]), float(upper[0])
     return lower, upper
 
 
@@ -267,10 +273,8 @@ def outage_probability(cfg, net, budget, target, spec=QuadratureSpec(),
     offsets = [0.0]  # common-gamma: one integral, anchored at rho itself
     if mode == "per-port-gamma":
         offsets = port_displacement(trained_port_indices(cfg), cfg)
-    product = 1.0
-    for value in _distance_averaged(conditional, offsets, net, spec).tolist():
-        product *= min(1.0, value)
-    return product ** cfg.num_fas
+    values = _distance_averaged(conditional, offsets, net, spec)
+    return float(np.prod(np.minimum(values, 1.0)) ** cfg.num_fas)
 
 
 def averaged_outage_bounds(mu_common, cfg, net, budget, target,
@@ -286,11 +290,8 @@ def averaged_outage_bounds(mu_common, cfg, net, budget, target,
 
     def averaged(side):
         def conditional(rhos, gammas):
-            return np.array([
-                conditional_outage_bounds(rho, gamma, mu_common, cfg, net,
-                                          budget, target)[side]
-                for rho, gamma in zip(rhos.tolist(), gammas.tolist())
-            ])
+            return conditional_outage_bounds(rhos, gammas, mu_common, cfg,
+                                             net, budget, target)[side]
 
         value = float(_distance_averaged(conditional, [0.0], net, spec)[0])
         return min(1.0, value) ** cfg.num_fas

@@ -37,6 +37,11 @@ RUNS = {
         "--config", str(DESK_CONFIG),
         "--sweep", "bs-density=5e-5:1e-3:3", *ENGINES,
     ],
+    # stock array at 29 and 30 ports per antenna, 15 trained ports each:
+    # more than the 8 terms past which numpy's sums and products regroup
+    "analytic_stock_ports": [
+        "--sweep", "ports-per-fa=29:30:2", *ENGINES,
+    ],
     # the simulator on the desk array over a density sweep, with the
     # explicit pilot phase that desk.cfg switches on
     "mc_desk_density": [

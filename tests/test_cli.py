@@ -473,6 +473,39 @@ class TestMain:
         assert all("data share" in e for e in errors[:-1])
         assert main(["--config", cfg, "--preset", "fig7", "--out", out]) == 1
 
+    @pytest.mark.parametrize("sweep, mode", [
+        (["--sweep", "tx-power=1:2:2"], "common-gamma"),
+        (["--sweep", "tx-power=1:2:2"], "per-port-gamma"),
+        (["--preset", "fig7"], "both"),
+    ])
+    def test_failed_frame_marks_only_the_cells_it_would_fill(
+        self, tmp_path, caplog, sweep, mode
+    ):
+        # the switching time overruns this frame's estimation share; a
+        # single analytic mode or a skip-count sweep fills one column,
+        # so only that column reads error and the other stays empty
+        cfg = write_config(
+            tmp_path, "coherence_bandwidth = 1e5\ncoherence_time = 0.01\n"
+            "estimation_fraction = 0.02\n",
+        )
+        out = str(tmp_path / "rows.csv")
+        code = main([
+            "--config", cfg, *sweep, "--engines", "analytic",
+            "--mode", mode, "--out", out,
+        ])
+        assert code == 1
+        column = ("outage_analytic_perport" if mode == "per-port-gamma"
+                  else "outage_analytic_common")
+        rows = read_rows(out)
+        for row in rows:
+            assert {c: row[c] for c in CSV_COLUMNS[1:-1]} == {
+                c: "error" if c == column else "" for c in CSV_COLUMNS[1:-1]
+            }
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == len(rows) + 1
+        assert all("analytic: switching time" in e for e in errors[:-1])
+
     def test_overflowing_rate_marks_cells_and_exit_code(
         self, tmp_path, caplog
     ):

@@ -251,8 +251,8 @@ class TestGammaModel:
 
     @pytest.mark.parametrize("exponent", [4.0, 3.5, 2.7])
     def test_array_of_radii_equals_scalar_calls(self, exponent):
-        # bit for bit: numpy's vector ** differs from libm's pow in the
-        # last bit for some radii, which a batch must not inherit
+        # bit for bit: a lone radius runs through the same array power
+        # as a batch, so no entry may round apart from its scalar call
         net = NetworkConfig(bs_density=3e-4, path_loss_exponent=exponent,
                             channel_variance=1.3)
         radii = np.random.default_rng(4).uniform(1.0, 400.0, 500)

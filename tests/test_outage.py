@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fluidcell import numerics
+from fluidcell import numerics, outage
 from fluidcell.channel import (
     correlation_profile,
     error_variance_at,
@@ -271,14 +271,21 @@ class TestConditionalOutageBounds:
     ):
         target = sinr_threshold(1.0, desk_budget)
         rng = np.random.default_rng(42)
-        for _ in range(60):
-            rho = float(rng.uniform(10.0, 250.0))
-            inter = float(rng.uniform(0.0, 1e-6))
-            mu = float(rng.uniform(0.0, 0.95))
+        rhos = rng.uniform(10.0, 250.0, 60)
+        inters = rng.uniform(0.0, 1e-6, 60)
+        for mu in rng.uniform(0.0, 0.95, 4).tolist():
+            singles = [
+                conditional_outage_bounds(rho, inter, mu, desk_cfg,
+                                          stock_net, desk_budget, target)
+                for rho, inter in zip(rhos.tolist(), inters.tolist())
+            ]
+            for lower, upper in singles:
+                assert 0.0 <= lower <= upper <= 1.0
+            # the arrays give the scalar calls' pairs bit for bit
             lower, upper = conditional_outage_bounds(
-                rho, inter, mu, desk_cfg, stock_net, desk_budget, target
+                rhos, inters, mu, desk_cfg, stock_net, desk_budget, target
             )
-            assert 0.0 <= lower <= upper <= 1.0
+            assert list(zip(lower.tolist(), upper.tolist())) == singles
 
     def test_zero_correlation_collapses_to_exponential_form(
         self, desk_cfg, stock_net, desk_budget
@@ -529,6 +536,32 @@ class TestAveragedOutageBounds:
         )
         np.testing.assert_allclose(lower4, lower**2, rtol=1e-10)
         np.testing.assert_allclose(upper4, upper**2, rtol=1e-10)
+
+    def test_one_bracket_call_per_round(
+        self, monkeypatch, desk_cfg, stock_net, desk_budget
+    ):
+        # each interference round passes all its (rho, gamma) pairs to
+        # the bracket at once; _gamma_quantile runs once per round
+        counts = {"bracket": 0, "pairs": 0, "rounds": 0}
+        bracket = outage.conditional_outage_bounds
+        quantile = outage._gamma_quantile
+
+        def counted_bracket(rho, *args):
+            counts["bracket"] += 1
+            counts["pairs"] += np.size(rho)
+            return bracket(rho, *args)
+
+        def counted_quantile(*args):
+            counts["rounds"] += 1
+            return quantile(*args)
+
+        monkeypatch.setattr(outage, "conditional_outage_bounds",
+                            counted_bracket)
+        monkeypatch.setattr(outage, "_gamma_quantile", counted_quantile)
+        target = sinr_threshold(1.0, desk_budget)
+        averaged_outage_bounds(0.4, desk_cfg, stock_net, desk_budget, target)
+        assert counts["bracket"] == counts["rounds"]
+        assert counts["pairs"] > 10 * counts["rounds"]
 
 
 def _traced_peak(compute):
