@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import math
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -49,6 +50,7 @@ from .geometry import (
 from .mc import TrialPlan, chunk_bytes, estimate_outage
 from .outage import (
     averaged_outage_bounds,
+    outage_averages,
     outage_bytes,
     outage_probability,
     sinr_threshold,
@@ -397,10 +399,17 @@ def _run_engines(run, index, spec, cfg, budget, target, mode):
         return
 
     if "analytic" in spec.engines:
+        @functools.cache
+        def shared():  # --mode both: one per-port batch; common is row 0
+            with suppress(Exception):  # on failure each mode runs alone
+                return outage_averages(cfg.array, cfg.network, budget,
+                                       target, mode="per-port-gamma")
+
         for name, column in zip(_ANALYTIC_MODES, _ENGINE_COLUMNS["analytic"]):
             if mode in ("both", name):
                 run("analytic", (column,), lambda: [outage_probability(
                     cfg.array, cfg.network, budget, target, mode=name,
+                    averages=shared() if mode == "both" else None,
                 )])
     if "bounds" in spec.engines:
         run("bounds", _ENGINE_COLUMNS["bounds"],

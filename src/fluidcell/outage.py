@@ -36,6 +36,7 @@ __all__ = [
     "outage_thresholds",
     "conditional_outage",
     "conditional_outage_bounds",
+    "outage_averages",
     "outage_probability",
     "averaged_outage_bounds",
     "outage_bytes",
@@ -251,8 +252,25 @@ def _distance_averaged(conditional, offsets, net, spec):
     )
 
 
+def outage_averages(cfg, net, budget, target, spec=QuadratureSpec(),
+                    mode="common-gamma"):
+    """Distance averages that :func:`outage_probability` reduces: one row
+    for ``common-gamma``, one per trained port for ``per-port-gamma``,
+    run as one batch."""
+    if mode not in ("common-gamma", "per-port-gamma"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+    def conditional(rhos, gammas):
+        return conditional_outage(rhos, gammas, cfg, net, budget, target, spec)
+
+    offsets = [0.0]
+    if mode == "per-port-gamma":
+        offsets = port_displacement(trained_port_indices(cfg), cfg)
+    return _distance_averaged(conditional, offsets, net, spec)
+
+
 def outage_probability(cfg, net, budget, target, spec=QuadratureSpec(),
-                       mode="common-gamma"):
+                       mode="common-gamma", averages=None):
     """Network outage probability averaged over distance and interference.
 
     ``common-gamma`` shares one Gamma interference draw across the
@@ -261,20 +279,20 @@ def outage_probability(cfg, net, budget, target, spec=QuadratureSpec(),
     ``per-port-gamma`` instead averages one full double integral per
     trained port (each port's Gamma surrogate anchored at its own link
     distance) and multiplies them all, which breaks the coupling of the
-    shared interference draw; it is kept for comparison. Its per-port
-    integrals run as one batch.
+    shared interference draw; it is kept for comparison.
+
+    ``averages``, from :func:`outage_averages` of either mode, are
+    computed when not given. Port 1's offset is 0, so per-port row 0 is
+    the common-gamma integral bit for bit and ``common-gamma`` reads
+    that row alone: one per-port batch serves both modes.
     """
-    if mode not in ("common-gamma", "per-port-gamma"):
+    if averages is None:
+        averages = outage_averages(cfg, net, budget, target, spec, mode)
+    elif mode not in ("common-gamma", "per-port-gamma"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    def conditional(rhos, gammas):
-        return conditional_outage(rhos, gammas, cfg, net, budget, target, spec)
-
-    offsets = [0.0]  # common-gamma: one integral, anchored at rho itself
-    if mode == "per-port-gamma":
-        offsets = port_displacement(trained_port_indices(cfg), cfg)
-    values = _distance_averaged(conditional, offsets, net, spec)
-    return float(np.prod(np.minimum(values, 1.0)) ** cfg.num_fas)
+    if mode == "common-gamma":
+        averages = averages[:1]
+    return float(np.prod(np.minimum(averages, 1.0)) ** cfg.num_fas)
 
 
 def averaged_outage_bounds(mu_common, cfg, net, budget, target,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fluidcell
+from fluidcell import ConvergenceError
 from fluidcell.cli import (
     _MAX_GRID_POINTS,
     _MEMORY_BUDGET,
@@ -358,6 +359,36 @@ class TestRunSweep:
                         for c in ("outage_lower", "outage_upper"))
         assert 0.0 <= lower <= upper <= 1.0
 
+    def test_both_modes_make_one_per_port_batch(self, monkeypatch):
+        # --mode both reads common-gamma off row 0 of the per-port
+        # batch: its joint cdf calls are those of per-port-gamma alone,
+        # and each cell is that of its mode run alone
+        calls = []
+        cdf = fluidcell.outage.joint_magnitude_cdf
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return cdf(*args, **kwargs)
+
+        monkeypatch.setattr("fluidcell.outage.joint_magnitude_cdf", counted)
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        base = load_config(os.path.join(CONFIG_DIR, "desk.cfg"))
+        spec = SweepSpec(parameter="bs-density", grid=(5e-5,),
+                         engines=("analytic",))
+        cells, counts = {}, {}
+        for mode in ("both", "common-gamma", "per-port-gamma"):
+            calls.clear()
+            rows, failures = run_sweep(spec, base, mode=mode)
+            assert not failures
+            cells[mode] = {**rows[0], "wall_ms": ""}
+            counts[mode] = len(calls)
+        assert counts["both"] == counts["per-port-gamma"]
+        assert counts["common-gamma"] > 0
+        assert cells["both"] == {**cells["common-gamma"],
+                                 "outage_analytic_perport":
+                                 cells["per-port-gamma"][
+                                     "outage_analytic_perport"]}
+
     def test_rejects_unknown_mode(self):
         base = default_config()
         spec = SweepSpec(parameter="tx-power", grid=(1.0,))
@@ -505,6 +536,45 @@ class TestMain:
                   if r.levelname == "ERROR"]
         assert len(errors) == len(rows) + 1
         assert all("analytic: switching time" in e for e in errors[:-1])
+
+    @pytest.mark.parametrize("row, failed", [
+        (1, ("outage_analytic_perport",)),
+        (0, ("outage_analytic_common", "outage_analytic_perport")),
+    ])
+    def test_failed_distance_row_marks_only_its_modes_cells(
+        self, tmp_path, caplog, monkeypatch, row, failed
+    ):
+        # a per-port row past the first fails only per-port-gamma; row 0
+        # is also the common-gamma integral, so it fails both modes
+        run = ["--config", os.path.join(CONFIG_DIR, "desk.cfg"),
+               "--sweep", "bs-density=5e-5:5e-5:1", "--engines", "analytic",
+               "--mode", "both", "--out", str(tmp_path / "rows.csv")]
+        assert main(run) == 0
+        good = read_rows(tmp_path / "rows.csv")[0]
+        averaged = fluidcell.outage._distance_averaged
+
+        def failing(conditional, offsets, net, spec):
+            values = averaged(conditional, offsets, net, spec)
+            if len(offsets) > row:
+                raise ConvergenceError(
+                    f"quadrature row {row} did not converge",
+                    estimate=float(values[row]), error_estimate=1.0,
+                )
+            return values
+
+        monkeypatch.setattr("fluidcell.outage._distance_averaged", failing)
+        caplog.clear()
+        assert main(run) == 1
+        got = read_rows(tmp_path / "rows.csv")[0]
+        assert {c: got[c] for c in CSV_COLUMNS[1:-1]} == {
+            c: "error" if c in failed else good[c] for c in CSV_COLUMNS[1:-1]
+        }
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == [
+            f"point 0 (bs-density=5e-05) analytic: quadrature row {row} "
+            "did not converge"
+        ] * len(failed) + [f"{len(failed)} grid point engine(s) failed"]
 
     def test_overflowing_rate_marks_cells_and_exit_code(
         self, tmp_path, caplog

@@ -28,6 +28,7 @@ from fluidcell.outage import (
     averaged_outage_bounds,
     conditional_outage,
     conditional_outage_bounds,
+    outage_averages,
     outage_bytes,
     outage_probability,
     outage_thresholds,
@@ -469,6 +470,74 @@ class TestOutageProbability:
             desk_cfg, net, desk_budget, target, spec=FAST_SPEC
         )
         assert chunked == whole
+
+    def test_given_averages_need_a_known_mode(
+        self, desk_cfg, stock_net, desk_budget
+    ):
+        target = sinr_threshold(1.0, desk_budget)
+        with pytest.raises(ValueError, match="mode"):
+            outage_probability(desk_cfg, stock_net, desk_budget, target,
+                               mode="exact", averages=np.array([0.5]))
+
+
+def _shared_and_separate(cfg, net):
+    """Both modes' outages reduced from one per-port batch, and each
+    mode's own call, as ``float.hex`` strings."""
+    budget = build_frame_budget(
+        cfg, FluidParams(), COHERENCE_BANDWIDTH, COHERENCE_TIME,
+        ESTIMATION_FRACTION,
+    )
+    target = sinr_threshold(1.0, budget)
+    averages = outage_averages(cfg, net, budget, target,
+                               mode="per-port-gamma")
+    modes = ("common-gamma", "per-port-gamma")
+    shared = [outage_probability(cfg, net, budget, target, mode=mode,
+                                 averages=averages).hex() for mode in modes]
+    separate = [outage_probability(cfg, net, budget, target,
+                                   mode=mode).hex() for mode in modes]
+    return shared, separate
+
+
+class TestSharedPerPortBatch:
+    """Port 1's offset is 0, so the per-port batch's row 0 is the
+    common-gamma integral: one batch gives both modes' outages."""
+
+    @pytest.mark.parametrize("skip", [0, 1, 3])
+    @pytest.mark.parametrize("power", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("density", [1e-5, 1e-4, 1e-3])
+    @pytest.mark.parametrize("num_fas, ports", [(2, 5), (4, 15)],
+                             ids=["desk", "stock"])
+    def test_both_modes_equal_their_own_calls(
+        self, num_fas, ports, density, power, skip
+    ):
+        cfg = FaArrayConfig(num_fas=num_fas, ports_per_fa=ports,
+                            skipped_ports=skip)
+        net = NetworkConfig(bs_density=density, tx_power=power)
+        shared, separate = _shared_and_separate(cfg, net)
+        assert shared == separate
+
+    def test_fifteen_trained_ports(self):
+        # the stock frame of the analytic_stock_ports golden, past the 8
+        # terms where numpy's products regroup
+        cfg = FaArrayConfig(ports_per_fa=29, skipped_ports=1)
+        assert len(trained_port_indices(cfg)) == 15
+        shared, separate = _shared_and_separate(cfg, NetworkConfig())
+        assert shared == separate
+
+    def test_common_gamma_averages_are_one_row(
+        self, desk_cfg, stock_net, desk_budget
+    ):
+        target = sinr_threshold(1.0, desk_budget)
+        common = outage_averages(desk_cfg, stock_net, desk_budget, target,
+                                 spec=FAST_SPEC)
+        per_port = outage_averages(desk_cfg, stock_net, desk_budget, target,
+                                   spec=FAST_SPEC, mode="per-port-gamma")
+        assert common.shape == (1,)
+        assert per_port.shape == (len(trained_port_indices(desk_cfg)),)
+        assert common[0] == per_port[0]
+        with pytest.raises(ValueError, match="mode"):
+            outage_averages(desk_cfg, stock_net, desk_budget, target,
+                            mode="exact")
 
 
 def _with_and_without_skip(monkeypatch, run):
