@@ -33,7 +33,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext, suppress
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -236,6 +236,8 @@ class SweepSpec:
                     f"unknown engine {engine!r}; "
                     f"choose from {', '.join(ENGINES)}"
                 )
+            if engines.count(engine) > 1:
+                raise ConfigError(f"engine {engine!r} is repeated")
         if "bounds" in engines and not self.interference_limited:
             raise ConfigError(
                 "the bounds engine applies only to interference-limited "
@@ -401,15 +403,23 @@ def _run_engines(run, index, spec, cfg, budget, target, mode):
     if "analytic" in spec.engines:
         @functools.cache
         def shared():  # --mode both: one per-port batch; common is row 0
-            with suppress(Exception):  # on failure each mode runs alone
+            try:
                 return outage_averages(cfg.array, cfg.network, budget,
-                                       target, mode="per-port-gamma")
+                                       target, mode="per-port-gamma"), None
+            except Exception as exc:  # its traceback holds the batch
+                return None, exc.with_traceback(None)
+
+        def averages(name):  # if the batch failed, common-gamma runs alone
+            batch, exc = shared() if mode == "both" else (None, None)
+            if exc is not None and name == "per-port-gamma":
+                raise exc
+            return batch
 
         for name, column in zip(_ANALYTIC_MODES, _ENGINE_COLUMNS["analytic"]):
             if mode in ("both", name):
                 run("analytic", (column,), lambda: [outage_probability(
                     cfg.array, cfg.network, budget, target, mode=name,
-                    averages=shared() if mode == "both" else None,
+                    averages=averages(name),
                 )])
     if "bounds" in spec.engines:
         run("bounds", _ENGINE_COLUMNS["bounds"],
@@ -502,8 +512,7 @@ def run_sweep(spec, base, mode="both"):
         except ValueError as exc:
             raise ConfigError(f"{spec.parameter}={value:g}: {exc}") from exc
     workers = _worker_count()
-    _check_memory(configs, spec.engines,
-                  min(workers, len(spec.grid)))
+    _check_memory(configs, spec.engines, min(workers, len(spec.grid)))
 
     def point(args):
         return _compute_point(*args, spec, mode)
@@ -566,10 +575,8 @@ def figure_preset(name, **overrides):
 def _parse_sweep_flag(text):
     try:
         key, _, rest = text.partition("=")
-        start_text, stop_text, steps_text = rest.split(":")
-        start = float(start_text)
-        stop = float(stop_text)
-        steps = int(steps_text)
+        start, stop, steps = rest.split(":")
+        start, stop, steps = float(start), float(stop), int(steps)
     except ValueError:
         raise ConfigError(
             f"--sweep expects KEY=start:stop:steps, got {text!r}"
@@ -582,10 +589,8 @@ def _parse_sweep_flag(text):
         raise ConfigError(
             f"--sweep allows at most {_MAX_GRID_POINTS} steps, got {steps}"
         )
-    if steps == 1:
-        grid = (start,)
-    else:
-        grid = tuple(float(v) for v in np.linspace(start, stop, steps))
+    # one step is (start,): linspace returns its start alone
+    grid = tuple(float(v) for v in np.linspace(start, stop, steps))
     return key.strip(), grid
 
 

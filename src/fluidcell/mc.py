@@ -34,7 +34,9 @@ field's mean, variance, and covariance v/2 between draws of a trial.
 Trials run in fixed-size chunks, each with its own SFC64 stream seeded
 from the plan's seed and the chunk's SeedSequence spawn key, so results
 are identical for any worker count and the worker pool only changes
-wall time.
+wall time. A chunk reads its stream in the order of ``_simulate_chunk``:
+serving distances, field, estimates (explicit pilots first draw one
+interference sum per antenna and trained port), data-phase sums.
 """
 
 from __future__ import annotations
@@ -152,18 +154,17 @@ def _port_estimates(rng, m, mean_scale, noise_scale):
     return est
 
 
-def _sample_field(rng, n, cfg, net):
-    """The (n, j) trained-port link distances of ``n`` trials and their
-    field's ``faded_sums()``: one interference sum per trial per call."""
-    lam = net.bs_density
+def _sample_field(rng, rho, cfg, net):
+    """The (n, j) trained-port link distances at serving distances
+    ``rho`` (n,), and their field's ``faded_sums(count)``: ``count``
+    interference sums per trial, (n, count), drawn column by column."""
     a = net.path_loss_exponent
-
-    rho = sample_serving_distance(rng, lam, size=n)
+    n = rho.size
     r_ports = link_distances(trained_port_indices(cfg), rho, cfg)  # (n, j)
 
     # interferer positions, shared by every port and candidate in a trial
     radius = NEAR_FIELD_RATIO * rho
-    counts = rng.poisson(lam * math.pi * (radius**2 - rho**2))
+    counts = rng.poisson(net.bs_density * math.pi * (radius**2 - rho**2))
     total = int(counts.sum())
     trial_idx = np.repeat(np.arange(n), counts)
     # the per-point arrays dominate the run time; single precision is
@@ -187,14 +188,14 @@ def _sample_field(rng, n, cfg, net):
     far_scale = far_var / far_mean
     far_shared = rng.gamma(far_shape, far_scale)
 
-    def faded_sums():
-        # fades in double, as bincount reads its weights
-        fades = rng.standard_exponential(total)
-        fades *= path_gain
-        # a sum, not +=: bincount counts in integers when no trial of
-        # the chunk has a near-field point
-        sums = np.bincount(trial_idx, weights=fades, minlength=n) + far_shared
-        sums += rng.gamma(far_shape, far_scale)
+    def faded_sums(count):
+        sums = np.empty((n, count))
+        fades = np.empty(total)  # in double, as bincount reads its weights
+        for column in sums.T:
+            rng.standard_exponential(out=fades)
+            fades *= path_gain
+            column[:] = np.bincount(trial_idx, fades, n) + far_shared
+            column += rng.gamma(far_shape, far_scale)
         return sums
 
     return r_ports, faded_sums
@@ -218,10 +219,7 @@ def _estimate_powers(rng, r_ports, err, faded_sums, cfg, net, budget, plan):
         # pilot collapses the interferers to one complex Gaussian of the
         # realized power I, so the noise is gain^2 r^a (I + 1/SNR) / L at
         # pilot length L, next to the gain^2 the first port's channel misses
-        spread = np.empty((n, m, j))
-        for k in range(m):
-            for q in range(j):
-                spread[:, k, q] = faded_sums()
+        spread = faded_sums(m * j).reshape(n, m, j)
         spread += 1.0 / net.transmit_snr
         spread *= (r_ports**net.path_loss_exponent
                    / budget.pilot_length)[:, None, :]
@@ -242,17 +240,11 @@ def _estimate_powers(rng, r_ports, err, faded_sums, cfg, net, budget, plan):
     return est[0] + est[1]
 
 
-def _count_outages(est_power, r_ports, err, faded_sums, net, target):
+def _count_outages(est_power, r_ports, err, data_inter, net, target):
     """Outage count: each antenna keeps its strongest of ``est_power``
-    (n, m, j), and every candidate misses over fresh ``faded_sums()``."""
+    (n, m, j), and its candidate misses over its interference sum in
+    ``data_inter`` (n, m), which the count overwrites."""
     n, m, j = est_power.shape
-    # stage-2 candidates see freshly drawn interferer fades over the
-    # shared positions (uncorrelated branches); drawn before selection,
-    # so the sums' temporaries never meet the winners' arrays
-    data_inter = np.empty((n, m))
-    for k in range(m):
-        data_inter[:, k] = faded_sums()
-
     # ties take the lowest port; flat indices of each antenna's winner
     # into the powers and into the trials' (n, j) distances and errors
     win = np.argmax(est_power.reshape(n * m, j), axis=1)
@@ -273,13 +265,15 @@ def _count_outages(est_power, r_ports, err, faded_sums, net, target):
 
 def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
     """Simulate ``n`` trials; returns the outage count."""
-    r_ports, faded_sums = _sample_field(rng, n, cfg, net)
+    rho = sample_serving_distance(rng, net.bs_density, size=n)
+    r_ports, faded_sums = _sample_field(rng, rho, cfg, net)
     err = error_variance_at(r_ports, budget.pilot_length, net)  # (n, j)
-    # nested: the estimate block dies before the count stage, the powers
-    # right after it, so glibc keeps its heap top for the next chunk
+    # nested: the estimate block dies before the data-phase sums, which
+    # come before selection, and the powers right after the count, so
+    # glibc keeps its heap top for the next chunk
     return _count_outages(_estimate_powers(rng, r_ports, err, faded_sums,
                                            cfg, net, budget, plan),
-                          r_ports, err, faded_sums, net, target)
+                          r_ports, err, faded_sums(cfg.num_fas), net, target)
 
 
 def estimate_outage(plan, cfg, net, budget, target, workers=1,

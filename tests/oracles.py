@@ -16,6 +16,7 @@ from scipy.special import hyp2f1
 
 from fluidcell import ConvergenceError, QuadratureSpec, bessel_i0e
 from fluidcell.channel import error_variance_at, sample_correlated_channels
+from fluidcell.field import sample_serving_distance
 from fluidcell.geometry import trained_port_indices
 from fluidcell.mc import _count_outages, _lmmse_coefficient, _sample_field
 from fluidcell.numerics import _EPS, _gl_panels
@@ -245,14 +246,15 @@ def integrate_finite_heap(f, a, b, spec=QuadratureSpec()):
 # chunk drew the estimates from their joint law, kept as the reference
 # for that law: it draws the true channels, then the estimation noise
 # (or the pilot observation) on top of them, with the LMMSE coefficient
-# worked out from the pilot amplitude. The field and the port selection
-# are mc's own stages.
+# worked out from the pilot amplitude. The field, its interference sums
+# and the port selection are mc's own stages.
 def simulate_chunk_from_channels(rng, n, cfg, net, budget, target, plan):
     """The Monte Carlo chunk as it drew correlated channels first and
     then estimated them: ``mc._simulate_chunk``'s law through the
     channel draw, the orthogonal split and the explicit pilot
     observation. Returns the outage count."""
-    r_ports, faded_sums = _sample_field(rng, n, cfg, net)
+    rho = sample_serving_distance(rng, net.bs_density, size=n)
+    r_ports, faded_sums = _sample_field(rng, rho, cfg, net)
     a = net.path_loss_exponent
     m = cfg.num_fas
     ports = trained_port_indices(cfg)
@@ -267,10 +269,7 @@ def simulate_chunk_from_channels(rng, n, cfg, net, budget, target, plan):
         # pilot observation per port: correlating against the unit-norm
         # pilot collapses the interferers to one complex Gaussian whose
         # power is the realized faded interference (not pilot-scaled)
-        pilot_inter = np.empty((n, m, j))
-        for k in range(m):
-            for q in range(j):
-                pilot_inter[:, k, q] = faded_sums()
+        pilot_inter = faded_sums(m * j).reshape(n, m, j)
         amp = np.sqrt(budget.pilot_length * net.tx_power / r_ports**a)
         coeff = _lmmse_coefficient(err, amp)
         noise_var = net.noise_floor + net.tx_power * pilot_inter
@@ -288,7 +287,7 @@ def simulate_chunk_from_channels(rng, n, cfg, net, budget, target, plan):
             xre + 1j * xim
         )
 
-    return _count_outages(np.abs(g_hat) ** 2, r_ports, err, faded_sums,
+    return _count_outages(np.abs(g_hat) ** 2, r_ports, err, faded_sums(m),
                           net, target)
 
 

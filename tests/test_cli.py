@@ -222,6 +222,15 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="unknown engine"):
             SweepSpec(parameter="tx-power", grid=(1.0,), engines=("exact",))
 
+    @pytest.mark.parametrize("engines", [
+        ("analytic", "analytic"),
+        ("monte-carlo", "analytic", "monte-carlo"),
+    ])
+    def test_rejects_a_repeated_engine(self, engines):
+        # a repeated engine would run, and log each failure, twice
+        with pytest.raises(ConfigError, match="is repeated"):
+            SweepSpec(parameter="tx-power", grid=(1.0,), engines=engines)
+
     def test_bounds_engine_needs_interference_limited_claim(self):
         with pytest.raises(ConfigError, match="interference-limited"):
             SweepSpec(parameter="tx-power", grid=(1.0,), engines=("bounds",))
@@ -545,15 +554,18 @@ class TestMain:
         self, tmp_path, caplog, monkeypatch, row, failed
     ):
         # a per-port row past the first fails only per-port-gamma; row 0
-        # is also the common-gamma integral, so it fails both modes
+        # is also the common-gamma integral, so it fails both modes. The
+        # failed per-port batch runs once, then common-gamma alone
         run = ["--config", os.path.join(CONFIG_DIR, "desk.cfg"),
                "--sweep", "bs-density=5e-5:5e-5:1", "--engines", "analytic",
                "--mode", "both", "--out", str(tmp_path / "rows.csv")]
         assert main(run) == 0
         good = read_rows(tmp_path / "rows.csv")[0]
         averaged = fluidcell.outage._distance_averaged
+        batches = []
 
         def failing(conditional, offsets, net, spec):
+            batches.append(len(offsets))
             values = averaged(conditional, offsets, net, spec)
             if len(offsets) > row:
                 raise ConvergenceError(
@@ -565,6 +577,7 @@ class TestMain:
         monkeypatch.setattr("fluidcell.outage._distance_averaged", failing)
         caplog.clear()
         assert main(run) == 1
+        assert batches == [3, 1]
         got = read_rows(tmp_path / "rows.csv")[0]
         assert {c: got[c] for c in CSV_COLUMNS[1:-1]} == {
             c: "error" if c in failed else good[c] for c in CSV_COLUMNS[1:-1]

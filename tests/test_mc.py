@@ -9,7 +9,12 @@ import pytest
 
 import fluidcell.mc
 from fluidcell.channel import autocorrelation, error_variance_at
-from fluidcell.field import NetworkConfig, campbell_variance, mean_interference
+from fluidcell.field import (
+    NetworkConfig,
+    campbell_variance,
+    mean_interference,
+    sample_serving_distance,
+)
 from fluidcell.geometry import (
     FaArrayConfig,
     FluidParams,
@@ -296,7 +301,7 @@ class TestCountOutages:
         assert expected != int((highest < threshold).sum())
 
         count = fluidcell.mc._count_outages(
-            powers, r_ports, err, lambda: np.zeros(n), net,
+            powers, r_ports, err, np.zeros((n, m)), net,
             SimpleNamespace(threshold=threshold),
         )
         assert count == expected
@@ -336,36 +341,80 @@ class TestEmptyNearField:
 # =====================================================================
 
 
-def _record_serving_distances(monkeypatch):
-    """List of the serving-distance arrays ``mc`` draws from now on."""
-    distances = []
-    sample = fluidcell.mc.sample_serving_distance
-
-    def serving_distance(*args, **kwargs):
-        distances.append(sample(*args, **kwargs))
-        return distances[-1]
-
-    monkeypatch.setattr(fluidcell.mc, "sample_serving_distance",
-                        serving_distance)
-    return distances
-
-
 class TestSampleField:
-    def test_link_distances_are_the_geometry_ones(
-        self, stock_cfg, stock_net, monkeypatch
-    ):
+    def test_link_distances_are_the_geometry_ones(self, stock_cfg, stock_net):
         # the analytic engine anchors its ports at these distances; an
         # own sqrt(rho^2 + d^2) differs from hypot in the last bit on
         # about one entry in seven at the stock array
-        distances = _record_serving_distances(monkeypatch)
-        r_ports, _ = fluidcell.mc._sample_field(
-            np.random.default_rng(5), 2048, stock_cfg, stock_net
-        )
-        (rho,) = distances
+        rng = np.random.default_rng(5)
+        rho = sample_serving_distance(rng, stock_net.bs_density, size=2048)
+        r_ports, _ = fluidcell.mc._sample_field(rng, rho, stock_cfg,
+                                                stock_net)
         expected = link_distances(trained_port_indices(stock_cfg), rho,
                                   stock_cfg)
         assert r_ports.shape == (2048, 8)
         assert np.array_equal(r_ports, expected)
+
+
+# =====================================================================
+# the chunk's draw order
+# =====================================================================
+
+
+class TestDrawOrder:
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_faded_sums_are_successive_columns(
+        self, desk_cfg, stock_net, count
+    ):
+        # one call for k sums reads the stream as k calls for one each
+        def field(seed):
+            rng = np.random.default_rng(seed)
+            rho = sample_serving_distance(rng, stock_net.bs_density,
+                                          size=300)
+            _, faded_sums = fluidcell.mc._sample_field(rng, rho, desk_cfg,
+                                                       stock_net)
+            return rng, faded_sums
+
+        rng, faded_sums = field(13)
+        block = faded_sums(count)
+        rng_cols, faded_sum_cols = field(13)
+        columns = np.hstack([faded_sum_cols(1) for _ in range(count)])
+        assert block.shape == (300, count)
+        assert np.array_equal(block, columns)
+        assert rng.random() == rng_cols.random()
+
+    @pytest.mark.parametrize("faithful", [False, True])
+    @pytest.mark.parametrize("array", ["stock", "desk"])
+    def test_chunk_composes_its_stages_in_order(
+        self, stock_cfg, stock_budget, desk_cfg, desk_budget, stock_net,
+        array, faithful
+    ):
+        # serving distances, field, estimates, then the data-phase sums
+        cfg, budget = {
+            "stock": (stock_cfg, stock_budget),
+            "desk": (desk_cfg, desk_budget),
+        }[array]
+        n = 1024
+        plan = TrialPlan(num_trials=n, faithful_pilots=faithful)
+        target = sinr_threshold(1.0, budget)
+
+        rng = np.random.default_rng(17)
+        rho = sample_serving_distance(rng, stock_net.bs_density, size=n)
+        r_ports, faded_sums = fluidcell.mc._sample_field(rng, rho, cfg,
+                                                         stock_net)
+        err = error_variance_at(r_ports, budget.pilot_length, stock_net)
+        powers = fluidcell.mc._estimate_powers(
+            rng, r_ports, err, faded_sums, cfg, stock_net, budget, plan)
+        data_inter = faded_sums(cfg.num_fas)
+        by_hand = fluidcell.mc._count_outages(
+            powers, r_ports, err, data_inter, stock_net, target)
+
+        chunk_rng = np.random.default_rng(17)
+        count = fluidcell.mc._simulate_chunk(
+            chunk_rng, n, cfg, stock_net, budget, target, plan)
+        assert 0 < by_hand < n
+        assert count == by_hand
+        assert chunk_rng.random() == rng.random()
 
 
 # =====================================================================
@@ -392,21 +441,22 @@ class TestFarFieldLaw:
     @pytest.mark.parametrize("faithful", [False, True])
     @pytest.mark.parametrize("exponent", [4.0, 3.0])
     def test_gamma_draws_carry_half_the_campbell_moments(
-        self, desk_cfg, desk_budget, monkeypatch, exponent, faithful
+        self, desk_cfg, desk_budget, exponent, faithful
     ):
         # the far field beyond NEAR_FIELD_RATIO serving distances enters
         # as a shared plus a fresh Gamma draw per faded sum, each with
         # half the Campbell mean and variance of that annulus
         net = NetworkConfig(path_loss_exponent=exponent)
         plan = TrialPlan(num_trials=64, faithful_pilots=faithful)
-        distances = _record_serving_distances(monkeypatch)
         rng = _GammaRecorder(np.random.default_rng(3))
         fluidcell.mc._simulate_chunk(
             rng, plan.num_trials, desk_cfg, net, desk_budget,
             sinr_threshold(1.0, desk_budget), plan,
         )
 
-        (rho,) = distances
+        # the chunk draws its serving distances first from its stream
+        rho = sample_serving_distance(np.random.default_rng(3),
+                                      net.bs_density, size=plan.num_trials)
         radius = fluidcell.mc.NEAR_FIELD_RATIO * rho
         mean = mean_interference(radius, net)
         variance = campbell_variance(radius ** (2.0 - 2.0 * exponent), net)
@@ -462,10 +512,6 @@ class TestPortEstimateLaw:
         # 0.5, so the noise is a large share of every estimate
         net = NetworkConfig(tx_power=1e-3)
         n, rho = 20_000, 60.0
-        monkeypatch.setattr(
-            fluidcell.mc, "sample_serving_distance",
-            lambda rng, lam, size: np.full(size, rho),
-        )
         drawn = []
         draw = fluidcell.mc._port_estimates
 
@@ -476,9 +522,13 @@ class TestPortEstimateLaw:
 
         monkeypatch.setattr(fluidcell.mc, "_port_estimates", port_estimates)
         plan = TrialPlan(num_trials=n, faithful_pilots=faithful)
-        fluidcell.mc._simulate_chunk(
-            np.random.default_rng(21), n, desk_cfg, net, desk_budget,
-            sinr_threshold(1.0, desk_budget), plan,
+        rng = np.random.default_rng(21)
+        r_ports, faded_sums = fluidcell.mc._sample_field(
+            rng, np.full(n, rho), desk_cfg, net)
+        fluidcell.mc._estimate_powers(
+            rng, r_ports, error_variance_at(r_ports, desk_budget.pilot_length,
+                                            net),
+            faded_sums, desk_cfg, net, desk_budget, plan,
         )
         (est,) = drawn
         g_hat = est[0] + 1j * est[1]  # (n, m, j)
