@@ -6,17 +6,20 @@ two-stage port selection, and flags outage on the best candidate's
 SINR. Nothing here reuses the analytic averaging; agreement between the
 two paths is the package's core validation.
 
-Selection reads only the estimates, so a trial draws them straight from
-their joint law instead of drawing channels and then estimation noise.
-By the LMMSE orthogonality principle, port q's estimate given its
-antenna's first-port channel e is gain_q * mu_q * e (mu_q the port's
-autocorrelation, 1 at port 1) plus an independent complex Gaussian: per
-antenna one normal for e and one per trained port, j + 1 complex
-normals instead of 2j, drawn and scaled in single precision since
-selection only compares them. Both pilot models have gain =
-1 - sigma_e^2 (the explicit pilots' coefficient times their
-amplitude); with explicit pilots the independent part also carries the
-pilot noise at the realized pilot interference.
+Selection reads only the estimates' powers, so a trial draws them
+straight from their joint law instead of drawing channels and then
+estimation noise. By the LMMSE orthogonality principle, port q's
+estimate is c_q e + s_q w_q: e its antenna's first-port channel, c_q
+its gain times mu_q (the port's autocorrelation, 1 at port 1) and w_q
+independent. Turned by the phase of e, its power is
+(c_q |e| + s_q |w_q| cos psi_q)^2 + (s_q |w_q| sin psi_q)^2 with |e|^2
+and |w_q|^2 unit exponentials and psi_q uniform: per antenna one
+exponential, per trained port one exponential and one uniform, in
+single precision. Both pilot models have gain = 1 - sigma_e^2 (the
+explicit pilots' coefficient times their amplitude); with explicit
+pilots s_q also carries the pilot noise at the realized pilot
+interference. Chunk arrays put the ports first and the trials last, so
+every broadcast runs along the contiguous trial axis.
 
 Channels, interference and error variances are in units of sigma^2.
 The SINR charges the estimate's error through its variance, and each
@@ -35,8 +38,8 @@ Trials run in fixed-size chunks, each with its own SFC64 stream seeded
 from the plan's seed and the chunk's SeedSequence spawn key, so results
 are identical for any worker count and the worker pool only changes
 wall time. A chunk reads its stream in the order of ``_simulate_chunk``:
-serving distances, field, estimates (explicit pilots first draw one
-interference sum per antenna and trained port), data-phase sums.
+serving distances, field, estimate powers (explicit pilots first draw
+one interference sum per trained port and antenna), data-phase sums.
 """
 
 from __future__ import annotations
@@ -75,15 +78,15 @@ NEAR_FIELD_RATIO = 4.0
 # _simulate_chunk: a fixed share (the port geometry and correlations,
 # interpreter objects), then per trial a share for the field stage (its
 # per-trial arrays and 15 near-field interferers on average), one per
-# trained port (the (n, j) link distances, error variances and scales)
-# and one per antenna and trained port (the float32 estimate block, its
-# product temporary and the powers). Over 1-8 antennas, 1-30 trained
-# ports, 64-8192 trials and both pilot models the estimate is 1.08-1.79
-# times the peak
+# trained port (the (j, n) link distances, error variances and
+# amplitudes) and one per antenna and trained port (the float32 powers
+# and the polar draw's one other block, with explicit pilots also the
+# noise amplitudes). Over 1-8 antennas, 1-30 trained ports, 64-8192
+# trials and both pilot models the estimate is 1.04-1.78 times the peak
 _FIXED_BYTES = 32_000
-_BYTES_PER_TRIAL = 430
-_BYTES_PER_TRIAL_PORT = 18
-_BYTES_PER_ANTENNA_PORT = 32
+_BYTES_PER_TRIAL = 510
+_BYTES_PER_TRIAL_PORT = 28
+_BYTES_PER_ANTENNA_PORT = 15
 
 
 @dataclass(frozen=True)
@@ -139,28 +142,37 @@ def _lmmse_coefficient(err, amp):
     return (1.0 - err) / amp
 
 
-def _port_estimates(rng, m, mean_scale, noise_scale):
-    """Real and imaginary parts, shape (2, n, m, j), of the trained-port
-    estimates of ``m`` antennas, in single precision: ``mean_scale``
-    (n, j) times the antenna's first-port normal plus ``noise_scale``
-    (broadcast to (n, m, j)) times one normal per port, both unit real
-    normals drawn as one block each, the channels first.
-    """
-    n, j = mean_scale.shape
-    first = rng.standard_normal((2, n, m, 1), dtype=np.float32)
-    est = rng.standard_normal((2, n, m, j), dtype=np.float32)
-    est *= noise_scale
-    est += mean_scale[:, None, :] * first
-    return est
+def _port_powers(rng, m, mean_amp, noise_amp):
+    """Powers (j, m, n), in single precision, of |c e + s w_q|^2 for
+    ``m`` antennas at amplitudes c = ``mean_amp`` (j, 1, n) and s =
+    ``noise_amp`` (broadcast to (j, m, n)), e and w_q unit complex
+    normals: drawn in polar form, |e|^2 per antenna, then |w_q|^2 and
+    the phase of w_q against e per antenna and port."""
+    j, _, n = mean_amp.shape
+    first = rng.standard_exponential((m, n), dtype=np.float32)
+    power = rng.standard_exponential((j, m, n), dtype=np.float32)
+    cross = rng.random((j, m, n), dtype=np.float32)
+    cross *= np.float32(2.0 * math.pi)
+    np.cos(cross, out=cross)
+    cross *= np.sqrt(first)
+    # in place throughout: the block holds the powers and one more array
+    np.sqrt(power, out=power)
+    power *= noise_amp
+    cross *= power
+    cross *= 2.0 * mean_amp
+    power *= power
+    power += cross
+    power += np.multiply(mean_amp * mean_amp, first, out=cross)
+    return power
 
 
 def _sample_field(rng, rho, cfg, net):
-    """The (n, j) trained-port link distances at serving distances
+    """The (j, n) trained-port link distances at serving distances
     ``rho`` (n,), and their field's ``faded_sums(count)``: ``count``
-    interference sums per trial, (n, count), drawn column by column."""
+    interference sums per trial, (count, n), drawn row by row."""
     a = net.path_loss_exponent
     n = rho.size
-    r_ports = link_distances(trained_port_indices(cfg), rho, cfg)  # (n, j)
+    r_ports = link_distances(trained_port_indices(cfg), rho, cfg).T.copy()
 
     # interferer positions, shared by every port and candidate in a trial
     radius = NEAR_FIELD_RATIO * rho
@@ -189,27 +201,28 @@ def _sample_field(rng, rho, cfg, net):
     far_shared = rng.gamma(far_shape, far_scale)
 
     def faded_sums(count):
-        sums = np.empty((n, count))
+        sums = np.empty((count, n))
         fades = np.empty(total)  # in double, as bincount reads its weights
-        for column in sums.T:
+        for row in sums:
             rng.standard_exponential(out=fades)
             fades *= path_gain
-            column[:] = np.bincount(trial_idx, fades, n) + far_shared
-            column += rng.gamma(far_shape, far_scale)
+            row[:] = np.bincount(trial_idx, fades, n) + far_shared
+            row += rng.gamma(far_shape, far_scale)
         return sums
 
     return r_ports, faded_sums
 
 
 def _estimate_powers(rng, r_ports, err, faded_sums, cfg, net, budget, plan):
-    """Powers (n, m, j) of the trained-port estimates, drawn from their
-    joint law at link distances ``r_ports`` and error variances ``err``."""
-    n, j = r_ports.shape
+    """Powers (j, m, n) of the trained-port estimates, drawn from their
+    joint law at link distances ``r_ports`` and error variances ``err``,
+    both (j, n)."""
+    j, n = r_ports.shape
     m = cfg.num_fas
 
     # correlation of each trained port with its antenna's first port, 1
     # at port 1 itself (autocorrelation reports 0 there by convention)
-    mu = autocorrelation(trained_port_indices(cfg), cfg)
+    mu = autocorrelation(trained_port_indices(cfg), cfg)[:, None]
     mu[0] = 1.0
     # LMMSE gain on the channel, 1 - sigma_e^2 by orthogonality for both
     # pilot models (the explicit pilots' coefficient times amplitude)
@@ -219,55 +232,52 @@ def _estimate_powers(rng, r_ports, err, faded_sums, cfg, net, budget, plan):
         # pilot collapses the interferers to one complex Gaussian of the
         # realized power I, so the noise is gain^2 r^a (I + 1/SNR) / L at
         # pilot length L, next to the gain^2 the first port's channel misses
-        spread = faded_sums(m * j).reshape(n, m, j)
+        spread = faded_sums(j * m).reshape(j, m, n)
         spread += 1.0 / net.transmit_snr
         spread *= (r_ports**net.path_loss_exponent
                    / budget.pilot_length)[:, None, :]
-        spread += 1.0 - mu**2
+        spread += (1.0 - mu**2)[:, None]
         spread *= (gain**2)[:, None, :]
     else:
         # orthogonal split: the estimate and the error are uncorrelated
         spread = (gain * (gain * (1.0 - mu**2) + err))[:, None, :]
 
-    # a real part carries half of each variance; single precision is
-    # plenty for estimates that selection only compares
-    spread *= 0.5
-    noise_scale = np.sqrt(spread, out=spread).astype(np.float32)
-    mean_scale = (math.sqrt(0.5) * mu * gain).astype(np.float32)
+    # single precision is plenty for powers that selection only compares
+    noise_amp = np.sqrt(spread, out=spread).astype(np.float32)
+    mean_amp = (mu * gain)[:, None, :].astype(np.float32)
     del spread, gain
-    est = _port_estimates(rng, m, mean_scale, noise_scale)
-    est *= est
-    return est[0] + est[1]
+    return _port_powers(rng, m, mean_amp, noise_amp)
 
 
 def _count_outages(est_power, r_ports, err, data_inter, net, target):
     """Outage count: each antenna keeps its strongest of ``est_power``
-    (n, m, j), and its candidate misses over its interference sum in
-    ``data_inter`` (n, m), which the count overwrites."""
-    n, m, j = est_power.shape
-    # ties take the lowest port; flat indices of each antenna's winner
-    # into the powers and into the trials' (n, j) distances and errors
-    win = np.argmax(est_power.reshape(n * m, j), axis=1)
-    in_trial = np.repeat(np.arange(0, n * j, j), m) + win
-    win += np.arange(0, n * m * j, j)
-    power_win = est_power.take(win).astype(np.float64).reshape(n, m)
-    del win
-    r_win = r_ports.take(in_trial).reshape(n, m)
-    err_win = err.take(in_trial).reshape(n, m)
+    (j, m, n), and its candidate misses over its interference sum in
+    ``data_inter`` (m, n), which the count overwrites; ``r_ports`` and
+    ``err`` are the trials' (j, n) link distances and error variances."""
+    j, n = r_ports.shape
+    best = est_power.max(axis=0)
+    # rank j - 1 - q for port q: the top rank reaching an antenna's best
+    # is its lowest such port, so ties take the lowest port
+    rank = np.arange(j - 1, -1, -1, dtype=np.min_scalar_type(j))
+    top = np.multiply(est_power == best, rank[:, None, None]).max(axis=0)
+    # flat indices of each antenna's winner into the (j, n) arrays
+    win = np.arange(n) + n * (j - 1 - top.astype(np.intp))
+    r_win = r_ports.take(win)
+    err_win = err.take(win)
 
     # SINR: the power over r^a (I + 1/SNR) plus the error variance
     data_inter += 1.0 / net.transmit_snr
     data_inter *= r_win**net.path_loss_exponent
     data_inter += err_win
-    sinr = power_win / data_inter
-    return int((sinr.max(axis=1) < target.threshold).sum())
+    sinr = best / data_inter
+    return int((sinr.max(axis=0) < target.threshold).sum())
 
 
 def _simulate_chunk(rng, n, cfg, net, budget, target, plan):
     """Simulate ``n`` trials; returns the outage count."""
     rho = sample_serving_distance(rng, net.bs_density, size=n)
     r_ports, faded_sums = _sample_field(rng, rho, cfg, net)
-    err = error_variance_at(r_ports, budget.pilot_length, net)  # (n, j)
+    err = error_variance_at(r_ports, budget.pilot_length, net)  # (j, n)
     # nested: the estimate block dies before the data-phase sums, which
     # come before selection, and the powers right after the count, so
     # glibc keeps its heap top for the next chunk

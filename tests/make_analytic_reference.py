@@ -7,9 +7,11 @@ the simulator must leave every cell of these files as it is, so only a
 change that is meant to move an estimate regenerates them. The two
 Monte Carlo runs fix their seed, so their cells also pin numpy's
 Generator streams (SFC64 bit generators seeded through SeedSequence;
-float32 normals and uniforms; float64 exponentials, Gamma and Poisson
-variates), which numpy does not promise to keep across versions. Run
-from the repository root (a few seconds):
+float32 exponentials and uniforms; float64 exponentials, Gamma and
+Poisson variates), which numpy does not promise to keep across
+versions, and numpy's float32 ``cos`` of the estimate phases, whose
+SIMD kernel numpy picks by CPU. Run from the repository root (a few
+seconds):
 
     PYTHONPATH=src python tests/make_analytic_reference.py
 

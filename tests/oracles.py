@@ -255,6 +255,7 @@ def simulate_chunk_from_channels(rng, n, cfg, net, budget, target, plan):
     observation. Returns the outage count."""
     rho = sample_serving_distance(rng, net.bs_density, size=n)
     r_ports, faded_sums = _sample_field(rng, rho, cfg, net)
+    r_ports = r_ports.T  # the chunk's (j, n) distances as (n, j)
     a = net.path_loss_exponent
     m = cfg.num_fas
     ports = trained_port_indices(cfg)
@@ -269,7 +270,7 @@ def simulate_chunk_from_channels(rng, n, cfg, net, budget, target, plan):
         # pilot observation per port: correlating against the unit-norm
         # pilot collapses the interferers to one complex Gaussian whose
         # power is the realized faded interference (not pilot-scaled)
-        pilot_inter = faded_sums(m * j).reshape(n, m, j)
+        pilot_inter = faded_sums(m * j).T.reshape(n, m, j)
         amp = np.sqrt(budget.pilot_length * net.tx_power / r_ports**a)
         coeff = _lmmse_coefficient(err, amp)
         noise_var = net.noise_floor + net.tx_power * pilot_inter
@@ -287,8 +288,9 @@ def simulate_chunk_from_channels(rng, n, cfg, net, budget, target, plan):
             xre + 1j * xim
         )
 
-    return _count_outages(np.abs(g_hat) ** 2, r_ports, err, faded_sums(m),
-                          net, target)
+    # selection and the count read the chunk's (j, m, n) layout
+    return _count_outages(np.abs(g_hat).T ** 2, r_ports.T, err.T,
+                          faded_sums(m), net, target)
 
 
 def single_port_outage(cfg, net, budget, target, nodes):

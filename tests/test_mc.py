@@ -1,5 +1,6 @@
 """Tests for the trial simulator and its deterministic chunked streams."""
 
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -273,9 +274,9 @@ class TestCountOutages:
         # distance and error, so the tie rule moves the count
         rng = np.random.default_rng(8)
         n, m, j = 400, 3, 5
-        powers = (rng.integers(1, 5, (n, m, j)) / 4.0).astype(dtype)
-        r_ports = rng.uniform(20.0, 80.0, (n, j))
-        err = rng.uniform(0.0, 0.5, (n, j))
+        powers = (rng.integers(1, 5, (j, m, n)) / 4.0).astype(dtype)
+        r_ports = rng.uniform(20.0, 80.0, (j, n))
+        err = rng.uniform(0.0, 0.5, (j, n))
         net = NetworkConfig()
         a = net.path_loss_exponent
 
@@ -284,9 +285,9 @@ class TestCountOutages:
             for t in range(n):
                 candidates = []
                 for k in range(m):
-                    q = pick(powers[t, k])
-                    candidates.append(float(powers[t, k, q]) / (
-                        r_ports[t, q]**a / net.transmit_snr + err[t, q]))
+                    q = pick(powers[:, k, t])
+                    candidates.append(float(powers[q, k, t]) / (
+                        r_ports[q, t]**a / net.transmit_snr + err[q, t]))
                 out[t] = max(candidates)
             return out
 
@@ -301,7 +302,7 @@ class TestCountOutages:
         assert expected != int((highest < threshold).sum())
 
         count = fluidcell.mc._count_outages(
-            powers, r_ports, err, np.zeros((n, m)), net,
+            powers, r_ports, err, np.zeros((m, n)), net,
             SimpleNamespace(threshold=threshold),
         )
         assert count == expected
@@ -352,8 +353,9 @@ class TestSampleField:
                                                 stock_net)
         expected = link_distances(trained_port_indices(stock_cfg), rho,
                                   stock_cfg)
-        assert r_ports.shape == (2048, 8)
-        assert np.array_equal(r_ports, expected)
+        assert r_ports.shape == (8, 2048)
+        assert r_ports.flags.c_contiguous
+        assert np.array_equal(r_ports, expected.T)
 
 
 # =====================================================================
@@ -366,7 +368,8 @@ class TestDrawOrder:
     def test_faded_sums_are_successive_columns(
         self, desk_cfg, stock_net, count
     ):
-        # one call for k sums reads the stream as k calls for one each
+        # one call for k sums reads the stream as k calls for one each,
+        # the block's rows in the order the calls return them
         def field(seed):
             rng = np.random.default_rng(seed)
             rho = sample_serving_distance(rng, stock_net.bs_density,
@@ -377,11 +380,11 @@ class TestDrawOrder:
 
         rng, faded_sums = field(13)
         block = faded_sums(count)
-        rng_cols, faded_sum_cols = field(13)
-        columns = np.hstack([faded_sum_cols(1) for _ in range(count)])
-        assert block.shape == (300, count)
-        assert np.array_equal(block, columns)
-        assert rng.random() == rng_cols.random()
+        rng_rows, faded_sum_rows = field(13)
+        rows = np.vstack([faded_sum_rows(1) for _ in range(count)])
+        assert block.shape == (count, 300)
+        assert np.array_equal(block, rows)
+        assert rng.random() == rng_rows.random()
 
     @pytest.mark.parametrize("faithful", [False, True])
     @pytest.mark.parametrize("array", ["stock", "desk"])
@@ -478,67 +481,94 @@ class TestFarFieldLaw:
 # =====================================================================
 
 
-class _NormalCounter:
-    """A Generator that counts the normal values it is asked for."""
+class _DrawRecorder:
+    """A Generator that records the name, dtype and size of each of its
+    continuous draws, in stream order."""
 
     def __init__(self, rng):
         self._rng = rng
-        self.values = 0
-
-    def normal(self, *args, **kwargs):
-        out = self._rng.normal(*args, **kwargs)
-        self.values += np.size(out)
-        return out
-
-    def standard_normal(self, *args, **kwargs):
-        out = self._rng.standard_normal(*args, **kwargs)
-        self.values += np.size(out)
-        return out
+        self.draws = []
 
     def __getattr__(self, name):
-        return getattr(self._rng, name)
+        method = getattr(self._rng, name)
+        if name not in ("normal", "standard_normal", "standard_exponential",
+                        "random"):
+            return method
+
+        def draw(*args, **kwargs):
+            out = np.asarray(method(*args, **kwargs))
+            self.draws.append((name, out.dtype, out.size))
+            return out
+
+        return draw
 
 
 class TestPortEstimateLaw:
-    @pytest.mark.parametrize("faithful", [False, True])
+    @pytest.mark.parametrize("per_antenna_noise", [False, True])
     def test_covariance_over_port_pairs_matches_the_closed_form(
-        self, desk_cfg, desk_budget, monkeypatch, faithful
+        self, per_antenna_noise
     ):
-        # at a fixed serving distance, estimate = gain * (channel) plus
-        # independent noise, so E[g_p conj(g_q)] = gain_p gain_q R_pq
-        # plus the noise power on the diagonal, with R the channel
-        # correlation (port q = mu_q times port 1 plus independent parts)
-        # and E[g_p g_q] = 0; a weak link puts the error variance near
-        # 0.5, so the noise is a large share of every estimate
+        # P_q = |c_q e + s_q w_q|^2 over unit complex normals e and w_q is
+        # exponential, so Var P_q = (c_q^2 + s_q^2)^2, and two ports of an
+        # antenna share only e: Cov(P_q, P_p) = |E[est_q conj(est_p)]|^2 =
+        # c_q^2 c_p^2; antennas are independent. Explicit pilots give
+        # each antenna its own noise amplitudes
+        n, m = 200_000, 2
+        c = np.array([1.0, 0.6, -0.3])
+        s = np.array([[0.5, 0.9], [0.8, 0.3], [1.1, 0.7]])
+        if not per_antenna_noise:
+            s = s[:, :1]
+        j = len(c)
+        powers = fluidcell.mc._port_powers(
+            np.random.default_rng(21), m,
+            np.repeat(c[:, None, None], n, axis=2).astype(np.float32),
+            np.repeat(s[:, :, None], n, axis=2).astype(np.float32),
+        )
+        assert powers.shape == (j, m, n)
+        assert powers.dtype == np.float32
+
+        s = np.broadcast_to(s, (j, m))
+        mean = c[:, None]**2 + s**2  # (j, m)
+        centred = powers - mean[:, :, None]
+        for (q, k), (p, l) in itertools.product(np.ndindex(j, m), repeat=2):
+            if (q, k) == (p, l):
+                expected = mean[q, k]**2
+            elif k == l:
+                expected = c[q]**2 * c[p]**2
+            else:
+                expected = 0.0
+            sample = centred[q, k] * centred[p, l]
+            se = sample.std() / math.sqrt(n)
+            assert abs(sample.mean() - expected) < 4.0 * se, (q, k, p, l)
+        for q, k in np.ndindex(j, m):
+            se = math.sqrt(mean[q, k]**2 / n)
+            assert abs(powers[q, k].mean() - mean[q, k]) < 4.0 * se
+
+    @pytest.mark.parametrize("faithful", [False, True])
+    def test_estimate_powers_match_the_pilot_model_at_a_fixed_distance(
+        self, desk_cfg, desk_budget, faithful
+    ):
+        # at a fixed serving distance the estimate is gain * (channel)
+        # plus independent noise, so E P_q = gain_q^2 + noise_q; with the
+        # orthogonal split two ports of an antenna also have Cov(P_p, P_q)
+        # = (gain_p gain_q mu_p mu_q)^2. A weak link puts the error
+        # variance near 0.5, so the noise is a large share of every power
         net = NetworkConfig(tx_power=1e-3)
         n, rho = 20_000, 60.0
-        drawn = []
-        draw = fluidcell.mc._port_estimates
-
-        def port_estimates(*args):
-            est = draw(*args)
-            drawn.append(est.copy())
-            return est
-
-        monkeypatch.setattr(fluidcell.mc, "_port_estimates", port_estimates)
         plan = TrialPlan(num_trials=n, faithful_pilots=faithful)
         rng = np.random.default_rng(21)
         r_ports, faded_sums = fluidcell.mc._sample_field(
             rng, np.full(n, rho), desk_cfg, net)
-        fluidcell.mc._estimate_powers(
+        powers = fluidcell.mc._estimate_powers(
             rng, r_ports, error_variance_at(r_ports, desk_budget.pilot_length,
                                             net),
             faded_sums, desk_cfg, net, desk_budget, plan,
-        )
-        (est,) = drawn
-        g_hat = est[0] + 1j * est[1]  # (n, m, j)
+        ).astype(np.float64)  # (j, m, n)
 
         ports = trained_port_indices(desk_cfg)
         mu = autocorrelation(ports, desk_cfg)
         mu[0] = 1.0
-        corr = np.outer(mu, mu)
-        np.fill_diagonal(corr, 1.0)
-        r = np.array([link_distance(p, rho, desk_cfg) for p in ports])
+        r = link_distances(ports, rho, desk_cfg)
         err = error_variance_at(r, desk_budget.pilot_length, net)
         if faithful:
             amp = np.sqrt(desk_budget.pilot_length * net.tx_power
@@ -552,20 +582,22 @@ class TestPortEstimateLaw:
         else:
             gain = 1.0 - err
             noise = gain * err
-        expected = np.outer(gain, gain) * corr + np.diag(noise)
+        mean = gain**2 + noise
 
         j = len(ports)
-        for p in range(j):
-            for q in range(j):
-                # one sample per trial: antennas share its interferers
-                cov = (g_hat[..., p] * np.conj(g_hat[..., q])).mean(axis=1)
-                pseudo = (g_hat[..., p] * g_hat[..., q]).mean(axis=1)
-                for sample, value in (
-                    (cov.real, expected[p, q]), (cov.imag, 0.0),
-                    (pseudo.real, 0.0), (pseudo.imag, 0.0),
-                ):
-                    se = sample.std() / math.sqrt(n)
-                    assert abs(sample.mean() - value) < 4.0 * se, (p, q)
+        # one sample per trial: antennas share its interferers
+        for q in range(j):
+            sample = powers[q].mean(axis=0)
+            se = sample.std() / math.sqrt(n)
+            assert abs(sample.mean() - mean[q]) < 4.0 * se, q
+        if faithful:
+            return
+        centred = powers - mean[:, None, None]
+        for p, q in itertools.combinations(range(j), 2):
+            sample = (centred[p] * centred[q]).mean(axis=0)
+            se = sample.std() / math.sqrt(n)
+            expected = (gain[p] * gain[q] * mu[p] * mu[q])**2
+            assert abs(sample.mean() - expected) < 4.0 * se, (p, q)
 
     @pytest.mark.parametrize("faithful", [False, True])
     @pytest.mark.parametrize("array", ["stock", "desk"])
@@ -595,22 +627,36 @@ class TestPortEstimateLaw:
 
     @pytest.mark.parametrize("faithful", [False, True])
     @pytest.mark.parametrize("array", ["stock", "desk"])
-    def test_draws_j_plus_one_complex_normals_per_antenna(
+    def test_draws_an_exponential_per_antenna_then_two_values_per_port(
         self, stock_cfg, stock_budget, desk_cfg, desk_budget, array,
         faithful
     ):
+        # the estimate stage reads m float32 exponentials per trial, then
+        # m * j exponentials and m * j uniforms, and no normal at all
         cfg, budget = {
             "stock": (stock_cfg, stock_budget),
             "desk": (desk_cfg, desk_budget),
         }[array]
         n = 256
-        rng = _NormalCounter(np.random.default_rng(4))
+        rng = _DrawRecorder(np.random.default_rng(4))
         fluidcell.mc._simulate_chunk(
             rng, n, cfg, NetworkConfig(), budget, sinr_threshold(1.0, budget),
             TrialPlan(num_trials=n, faithful_pilots=faithful),
         )
-        j = len(trained_port_indices(cfg))
-        assert rng.values == 2 * n * cfg.num_fas * (j + 1)
+        m, j = cfg.num_fas, len(trained_port_indices(cfg))
+        assert not [d for d in rng.draws if "normal" in d[0]]
+        single = [i for i, (name, dtype, _) in enumerate(rng.draws)
+                  if name == "standard_exponential" and dtype == np.float32]
+        assert len(single) == 2
+        first = single[0]
+        assert rng.draws[first:first + 3] == [
+            ("standard_exponential", np.float32, m * n),
+            ("standard_exponential", np.float32, m * j * n),
+            ("random", np.float32, m * j * n),
+        ]
+        # then the data-phase sums: one float64 fades draw per antenna
+        assert rng.draws[first + 3:] == [("standard_exponential",
+                                          np.float64, rng.draws[-1][2])] * m
 
 
 # =====================================================================
