@@ -627,12 +627,15 @@ class TestPortEstimateLaw:
 
     @pytest.mark.parametrize("faithful", [False, True])
     @pytest.mark.parametrize("array", ["stock", "desk"])
-    def test_draws_an_exponential_per_antenna_then_two_values_per_port(
+    def test_draws_j_plus_one_complex_normals_per_antenna(
         self, stock_cfg, stock_budget, desk_cfg, desk_budget, array,
         faithful
     ):
-        # the estimate stage reads m float32 exponentials per trial, then
-        # m * j exponentials and m * j uniforms, and no normal at all
+        # each antenna's j + 1 complex normals are drawn in polar form: the
+        # first-port channel's power alone (its phase is turned away), then
+        # a power and a phase per trained port. So the estimate stage reads
+        # m float32 exponentials per trial, then m * j exponentials and
+        # m * j uniforms, and no normal at all
         cfg, budget = {
             "stock": (stock_cfg, stock_budget),
             "desk": (desk_cfg, desk_budget),
