@@ -147,26 +147,19 @@ def min_skipped_ports(target_variance, rho, cfg, params, net,
     return bracket / denominator * (1.0 / target_variance - 1.0)
 
 
-def correlation_profile(cfg, net, budget, rho, links=None):
+def correlation_profile(cfg, net, budget, rho):
     """Second-order profile of the trained ports at one serving distance.
 
     Each trained port's spread variance combines the decorrelated share
     of the true channel with that port's own estimation error variance,
     evaluated at its own link distance. A 1-D array of distances gives
     the batched profile, one row of spread variances per distance.
-    ``links``, the ports' link distances and error variances at ``rho``
-    when the caller has them, are not computed again.
     """
-    _, err = _trained_links(cfg, net, budget, rho) if links is None else links
-    mu = autocorrelation(trained_port_indices(cfg), cfg)
+    ports = trained_port_indices(cfg)
+    mu = autocorrelation(ports, cfg)
+    r = link_distances(ports, rho, cfg)
+    err = error_variance_at(r, budget.pilot_length, net)
     return CorrelationProfile(mu=mu, spread_variance=(1.0 - mu**2) + err)
-
-
-def _trained_links(cfg, net, budget, rho):
-    """The trained ports' link distances at serving distance ``rho`` and
-    their LMMSE error variances, a port axis appended to ``rho``'s shape."""
-    r = link_distances(trained_port_indices(cfg), rho, cfg)
-    return r, error_variance_at(r, budget.pilot_length, net)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ import numpy as np
 from scipy import special as _sf
 
 from .channel import (
-    _trained_links,
     correlation_profile,
+    error_variance_at,
     joint_magnitude_cdf,
 )
 from .field import campbell_mean, gamma_interference_model
 from .geometry import (
+    link_distances,
     port_displacement,
     trained_port_count,
     trained_port_indices,
@@ -89,8 +90,7 @@ def sinr_threshold(rate, budget):
     return RateTarget(threshold=float(threshold))
 
 
-def outage_thresholds(rho, interference, cfg, net, budget, target,
-                      links=None):
+def outage_thresholds(rho, interference, cfg, net, budget, target):
     """Per-trained-port estimated-gain-power levels that mark outage.
 
     A candidate port is in outage exactly when its squared estimated
@@ -99,16 +99,19 @@ def outage_thresholds(rho, interference, cfg, net, budget, target,
 
     A 1-D array of serving distances gives one row of thresholds per
     distance; ``interference`` is then a scalar, one level per distance,
-    or one row of per-port levels per distance. ``links`` is as in
-    :func:`~fluidcell.channel.correlation_profile`.
+    or one row of per-port levels per distance.
     """
-    r, err = _trained_links(cfg, net, budget, rho) if links is None else links
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0.0):
+        raise ValueError("serving distance must be positive")
+    r = link_distances(trained_port_indices(cfg), rho, cfg)
     inter = np.asarray(interference, dtype=float)
-    if r.ndim > 1 and inter.ndim == 1:
+    if rho.ndim and inter.ndim == 1:
         inter = inter[:, None]  # one level per distance, shared by its ports
     inter = np.broadcast_to(inter, r.shape)
     if np.any(inter < 0.0):
         raise ValueError("interference must be nonnegative")
+    err = error_variance_at(r, budget.pilot_length, net)
     a = net.path_loss_exponent
     return target.threshold * r**a * (
         inter + err / r**a + 1.0 / net.transmit_snr
@@ -124,10 +127,8 @@ def conditional_outage(rho, interference, cfg, net, budget, target,
     joint magnitude law. A 1-D array of distances, with interference as
     in :func:`outage_thresholds`, gives one outage per distance.
     """
-    links = _trained_links(cfg, net, budget, rho)
-    profile = correlation_profile(cfg, net, budget, rho, links)
-    thetas = outage_thresholds(rho, interference, cfg, net, budget, target,
-                               links)
+    profile = correlation_profile(cfg, net, budget, rho)
+    thetas = outage_thresholds(rho, interference, cfg, net, budget, target)
     return joint_magnitude_cdf(np.sqrt(thetas), profile, spec)
 
 
@@ -207,20 +208,17 @@ def _averaged_over_interference(conditional, rhos, model, spec):
     def integrand(v, rows):
         gammas = _gamma_quantile(model.shape[rows], model.scale[rows], v)
         round_rhos = rhos[rows]
-        # exact dedupe: sort by (gamma, rho), keep each run's first pair
-        order = np.lexsort((round_rhos, gammas))
-        g, r = gammas[order], round_rhos[order]
-        new = np.concatenate(([True], (g[1:] != g[:-1]) | (r[1:] != r[:-1])))
-        first = order[new]
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(new) - 1
+        # one complex number per pair: a 1-D dedupe, exact on both parts
+        _, first, inverse = np.unique(
+            gammas + 1j * round_rhos, return_index=True, return_inverse=True
+        )
         parts = np.split(
             first, range(_PAIRS_PER_CALL, len(first), _PAIRS_PER_CALL)
         )
         values = np.concatenate([
             conditional(round_rhos[part], gammas[part]) for part in parts
         ])
-        return values[inverse]
+        return values[inverse.reshape(-1)]
 
     count = len(rhos)
     return integrate_finite(integrand, np.zeros(count), np.ones(count), spec)
